@@ -12,7 +12,8 @@ renamed cell cannot green-wash the gate):
 - ``BENCH_throughput*.json``: the headline
   ``optimized_zipf_batched_speedup`` plus every per-workload
   ``batched_speedup`` cell;
-- ``BENCH_shard*.json``: the headline ``sharded_4x_speedup`` plus every
+- ``BENCH_shard*.json``: the headline ``sharded_inline_parity`` (the
+  weakest inline cell's ratio to the single engine) plus every
   ``speedup_vs_single_batched`` cell.
 
 Exit status is 0 on pass, 1 on any regression or malformed input; every
@@ -38,7 +39,7 @@ from typing import Iterator
 def iter_speedups(results: dict) -> Iterator[tuple[str, float]]:
     """Yield (metric path, speedup) for every gated ratio in a results dict."""
     headline = results.get("headline", {})
-    for key in ("optimized_zipf_batched_speedup", "sharded_4x_speedup"):
+    for key in ("optimized_zipf_batched_speedup", "sharded_inline_parity"):
         if key in headline:
             yield f"headline.{key}", float(headline[key])
     for workload, data in results.get("workloads", {}).items():

@@ -1,4 +1,4 @@
-"""Sharded execution benchmark: the horizontal multiplier over batching.
+"""Sharded execution benchmark: what the shard layer costs and what it buys.
 
 Measures the :class:`~repro.shard.ShardedEngine` against the single-engine
 batched baseline on the **partitionable zipf workload**: ``k`` independent
@@ -6,22 +6,29 @@ source streams, each with its own set of Zipf-constant selection queries.
 After optimization the plan decomposes into ``k`` entry-channel connected
 components, the unit the shard planner places.
 
-Two effects stack:
+The baseline is not handicapped: ``StreamEngine.run`` merges its sources
+per component (:func:`~repro.streams.sources.group_sources`), so the single
+engine drains each of the ``k`` independent sources in full-length runs,
+exactly as a shard does.  What is left to measure:
 
-- **merge restructuring** — the single engine must drain one global
-  timestamp-ordered merge; with ``k`` interleaved sources every same-channel
-  run has length 1, so batched dispatch degenerates to the per-tuple
-  interpreter.  Each shard drains its own source through the single-source
-  bulk path with full-length runs.  This effect is real on a single core —
-  it is why the inline (same-process, sequential) sharded mode already beats
-  the single engine.
-- **parallel placement** — on multi-core hosts with the ``fork`` start
-  method, shards run as worker processes concurrently.
+- **inline parity** — the ``sharded_{1,2,4}`` cells run the shards one after
+  another in the calling process (``parallel=False``, whatever the host).
+  They do the single engine's work plus planning and routing, so they can
+  at best tie it; the gate is a *floor* on how much the shard layer may
+  cost, not a speedup.  (Before the single engine grouped its merge, these
+  cells read 0.82x / 0.90x / 7.08x: the cliff at 4 shards was the baseline
+  collapsing to runs of length 1, not sharding.)
+- **process placement** — the ``sharded_4_process_*`` cells fork workers
+  (at most one per CPU) behind the wire router; any lead they show over
+  ``single_batched`` is the data plane and, on a multi-core host,
+  parallelism.  ``meta.cpu_count`` and each cell's ``mode`` are recorded so
+  a single-core recording is never read as a parallel one.
 
 Every cell re-checks that the sharded run's per-query outputs are identical
 to the single-engine baseline.  Results land in ``BENCH_shard.json``; the
-run fails if 4-shard aggregate throughput drops below the scale's floor
-(2x at full scale) over the single-engine batched baseline.
+run fails if any inline cell drops below the scale's parity floor (0.8x of
+the single-engine batched baseline at full scale), or on the data-plane and
+bridge-cut gates below.
 
 Regenerate::
 
@@ -58,11 +65,16 @@ from repro.workloads.churn import ChurnWorkload, drive_batched, drive_sharded
 from repro.workloads.synthetic import synthetic_schema
 from repro.workloads.zipf import ZipfSampler
 
-#: Acceptance floor: 4-shard aggregate throughput over the single-engine
+#: Parity floor: every inline ``sharded_{1,2,4}`` cell over the single-engine
 #: batched baseline on the partitionable zipf workload, full scale.
-TARGET_SPEEDUP = 2.0
-#: Relaxed floor for the CI smoke run (small event counts are noisy).
-SMOKE_SPEEDUP = 1.3
+TARGET_PARITY = 0.8
+#: Relaxed floor for the CI smoke run (fewer queries, two repeats).  Ten
+#: smoke runs on a 2-core host read, weakest cell per run: 1.07 1.01 1.18
+#: 1.10 1.10 1.14 1.13 1.10 1.09 1.14 (all cells 1.01–1.25).  0.7 is the
+#: worst reading less 30%, the size of that host's hypervisor-steal bursts.
+SMOKE_PARITY = 0.7
+#: The inline cells the parity floor covers.
+PARITY_SHARDS = (1, 2, 4)
 #: Data-plane acceptance floor: process-mode serving over the columnar
 #: transport must at least match the 4-shard *inline* drain (full scale).
 #: Startup (fork + ready handshake) is excluded — ``spawn_seconds`` is
@@ -96,7 +108,7 @@ class ShardScale:
     bridge_events: int = 40_000
     repeats: int = 3
     max_batch: int = 4096
-    min_speedup: float = TARGET_SPEEDUP
+    min_parity: float = TARGET_PARITY
     min_process_ratio: float = TARGET_PROCESS_RATIO
     min_bridge_ratio: float = TARGET_BRIDGE_RATIO
 
@@ -106,17 +118,23 @@ class ShardScale:
 
     @classmethod
     def smoke(cls) -> "ShardScale":
-        """Reduced scale for the CI smoke job."""
+        """Reduced scale for the CI smoke job.
+
+        The zipf drain keeps the full event count: the single engine clears
+        8 000 events in ~3 ms, too short for any ratio against it to mean
+        anything (the process-vs-inline ratio read 0.31–0.62 there, against
+        1.11–2.24 over sixteen runs at this size).
+        """
         return cls(
             name="smoke",
             zipf_sources=4,
             zipf_queries_per_source=40,
-            zipf_events=8_000,
+            zipf_events=40_000,
             churn_events=600,
             churn_initial=4,
             bridge_events=8_000,
             repeats=2,
-            min_speedup=SMOKE_SPEEDUP,
+            min_parity=SMOKE_PARITY,
             min_process_ratio=SMOKE_PROCESS_RATIO,
             min_bridge_ratio=SMOKE_BRIDGE_RATIO,
         )
@@ -153,8 +171,8 @@ def interleaved_zipf_tuples(
     num_sources: int, count: int, seed: int = 8
 ) -> list[list[StreamTuple]]:
     """Per-source tuple lists with globally interleaved timestamps
-    (tuple ``ts`` goes to source ``ts % k`` — the adversarial case for the
-    single engine's run coalescing, the natural case for sharding)."""
+    (tuple ``ts`` goes to source ``ts % k`` — every run of a global merge
+    would have length 1; a per-component merge never sees the interleave)."""
     schema = synthetic_schema()
     rng = np.random.default_rng(seed)
     values = rng.integers(0, 1000, size=(count, len(schema)))
@@ -215,14 +233,15 @@ def bench_partitionable_zipf(scale: ShardScale) -> dict:
         "output_events": best_baseline.output_events,
     }
 
-    shard_counts = sorted({1, 2, 4, scale.zipf_sources})
-    for n_shards in shard_counts:
+    # Inline cells: shards drained one after another in this process, on
+    # every host — the parity floor measures the shard layer, not the cores.
+    for n_shards in sorted({*PARITY_SHARDS, scale.zipf_sources}):
         best = None
         mode = None
         for __ in range(scale.repeats):
             plan, sources = build()
             sharded = ShardedEngine(
-                plan, n_shards, max_batch=scale.max_batch
+                plan, n_shards, parallel=False, max_batch=scale.max_batch
             )
             run = sharded.run(_make_sources(plan, sources, per_source))
             if best is None or run.throughput > best.throughput:
@@ -303,9 +322,9 @@ def bridge_plan(scale: ShardScale, seed: int = 11) -> tuple[QueryPlan, list]:
     source, a selective bridge selection whose derived channel feeds a
     two-input sequence with the *down* source, and a set of post-selections
     on the sequence's (low-volume) output.  Without bridge cuts each
-    component is an unsplittable atom: one engine must drain both of its
-    sources through the global timestamp merge, so every same-channel run
-    degenerates to length 1 and the heavy cluster falls off the batched
+    component is an unsplittable atom: its two sources share the sequence's
+    state, so one engine must merge them tuple by tuple, every same-channel
+    run degenerates to length 1 and the heavy cluster falls off the batched
     fast path.  The cut re-homes the cluster onto its own single-source
     shard — full-length runs — and relays the bridge channel.
 
@@ -524,8 +543,11 @@ def run_benchmark(scale: ShardScale) -> dict:
     zipf = bench_partitionable_zipf(scale)
     bridge = bench_bridge(scale)
     churn = bench_sharded_churn(scale)
-    headline_cell = zipf["cells"]["sharded_4"]
-    headline = headline_cell["speedup_vs_single_batched"]
+    parity = {
+        f"sharded_{n}": zipf["cells"][f"sharded_{n}"] for n in PARITY_SHARDS
+    }
+    weakest = min(parity, key=lambda n: parity[n]["speedup_vs_single_batched"])
+    headline = parity[weakest]["speedup_vs_single_batched"]
     results = {
         "meta": {
             "benchmark": "sharded engine vs single-engine batched dispatch",
@@ -536,9 +558,9 @@ def run_benchmark(scale: ShardScale) -> dict:
             "regenerate": "PYTHONPATH=src python -m repro.cli bench-shard",
         },
         "headline": {
-            "sharded_4x_speedup": headline,
-            "mode": headline_cell["mode"],
-            "target": scale.min_speedup,
+            "sharded_inline_parity": headline,
+            "weakest_cell": weakest,
+            "parity_floor": scale.min_parity,
         },
         "workloads": {
             "partitionable_zipf": zipf,
@@ -546,11 +568,11 @@ def run_benchmark(scale: ShardScale) -> dict:
             "sharded_churn": churn,
         },
     }
-    if headline < scale.min_speedup:
+    if headline < scale.min_parity:
         raise AssertionError(
-            f"4-shard aggregate throughput must be ≥{scale.min_speedup}x the "
+            f"every inline sharded cell must hold ≥{scale.min_parity}x the "
             f"single-engine batched baseline on the partitionable zipf "
-            f"workload, measured {headline}x"
+            f"workload; {weakest} measured {headline}x"
         )
     # Data-plane gate: the columnar process-mode cell must exist (a silent
     # fallback to inline would make the gate vacuous) and its steady-state
@@ -652,10 +674,10 @@ def render(results: dict) -> str:
         f"{'churn sharded':<28} {churn['sharded']['events_per_sec']:>14,.0f}"
     )
     lines.append(
-        f"headline: 4-shard speedup "
-        f"{results['headline']['sharded_4x_speedup']}x "
-        f"(target ≥{results['headline']['target']}x, "
-        f"mode={results['headline']['mode']})"
+        f"headline: inline parity "
+        f"{results['headline']['sharded_inline_parity']}x of single_batched "
+        f"at {results['headline']['weakest_cell']} "
+        f"(floor ≥{results['headline']['parity_floor']}x)"
     )
     ratio = results["headline"].get("process_columnar_vs_inline_4")
     if ratio is not None:

@@ -64,7 +64,7 @@ Three subcommands cover the downstream-user loop:
     engine (1/2/4 shards) vs the single-engine batched baseline on the
     partitionable zipf workload, plus a live sharded churn serve with
     load-levelling rebalances — asserting sharded outputs stay identical
-    and the 4-shard speedup clears its floor.
+    and every inline cell holds its parity floor against the baseline.
 
 ``bench-obs``
     Regenerate ``BENCH_obs.json``: throughput of observed vs unobserved

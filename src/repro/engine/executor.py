@@ -1,8 +1,8 @@
 """The push-based stream engine.
 
 ``StreamEngine`` freezes a query plan into executors (one per m-op) and a
-channel routing table, then drains a timestamp-ordered source merge through
-the DAG.
+channel routing table, then drains its sources through the DAG in the order
+:mod:`repro.streams.sources` defines (timestamp-ordered within a component).
 
 Two dispatch paths share the same executor tables:
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from repro.core.mop import MOpExecutor
@@ -48,7 +49,12 @@ from repro.engine.metrics import RunStats
 from repro.errors import PlanError
 from repro.streams.channel import Channel, ChannelTuple
 from repro.streams.columns import ColumnBatch
-from repro.streams.sources import StreamSource, merge_source_runs, merge_sources
+from repro.streams.sources import (
+    StreamSource,
+    group_sources,
+    merge_source_runs,
+    merge_sources,
+)
 from repro.streams.tuples import StreamTuple
 
 
@@ -194,6 +200,8 @@ class StreamEngine:
         self._multi_input_execs: tuple[int, ...] = ()
         self._multi_sink_queries: tuple[frozenset[int], ...] = ()
         self._batchable_cache: dict[int, bool] = {}
+        # channel_id -> component root; built by the first batched ``run``.
+        self._component_cache: Optional[dict[int, int]] = None
         # channel_id -> RelayTap; re-installed after every table rebuild so
         # taps survive plan rewrites and engine migration.
         self._relay_taps: dict[int, RelayTap] = {}
@@ -343,6 +351,7 @@ class StreamEngine:
             if len(channels) > 1
         )
         self._batchable_cache = {}
+        self._component_cache = None
         self._apply_relay_taps()
         return reused, built
 
@@ -557,6 +566,40 @@ class StreamEngine:
         self._batchable_cache[channel_id] = safe
         return safe
 
+    def channel_components(self) -> dict[int, int]:
+        """channel_id -> component, for every channel the tables know.
+
+        Two channels share a component when one executor touches both (as
+        input or output, transitively) or one query has sinks on both: those
+        are the channels whose relative event order operator state or a
+        captured-output list can observe.  Computed lazily and cached until
+        the next table rebuild, so register/migrate never pay for it.
+        """
+        cached = self._component_cache
+        if cached is not None:
+            return cached
+        parent = {channel_id: channel_id for channel_id in self._channel_table}
+
+        def find(channel_id: int) -> int:
+            parent.setdefault(channel_id, channel_id)
+            while parent[channel_id] != channel_id:
+                parent[channel_id] = parent[parent[channel_id]]
+                channel_id = parent[channel_id]
+            return channel_id
+
+        touched = (
+            (*inputs, *outputs)
+            for inputs, outputs in zip(
+                self._exec_input_channels, self._exec_output_channels
+            )
+        )
+        for first, *others in chain(touched, self._multi_sink_queries):
+            for other in others:
+                parent[find(other)] = find(first)
+        cached = {channel_id: find(channel_id) for channel_id in parent}
+        self._component_cache = cached
+        return cached
+
     # -- running -------------------------------------------------------------------
 
     def run(
@@ -566,6 +609,14 @@ class StreamEngine:
         sample_state_every: int = 0,
     ) -> RunStats:
         """Drain ``sources`` through the plan; returns run statistics.
+
+        Batched dispatch follows the ordering contract of
+        :mod:`repro.streams.sources`: global timestamp order within a
+        component (:meth:`channel_components`); components are drained one
+        after another, so a single-source component gets full-length runs.
+        The per-tuple reference path and warm-up runs — whose
+        warmed/measured split is defined on the global order — keep one
+        global merge.
 
         ``warmup_events`` logical events are processed before the clock and
         the counters start — the paper warms the JIT the same way ("we first
@@ -580,7 +631,14 @@ class StreamEngine:
         """
         if not self.batching or sample_state_every:
             return self._run_per_tuple(sources, warmup_events, sample_state_every)
-        runs = merge_source_runs(sources, self.max_batch)
+        groups = (
+            [sources]
+            if warmup_events
+            else group_sources(sources, self.channel_components())
+        )
+        runs = chain.from_iterable(
+            merge_source_runs(group, self.max_batch) for group in groups
+        )
         pending: Optional[tuple[Channel, list[ChannelTuple]]] = None
         if warmup_events:
             consumed = 0

@@ -17,10 +17,8 @@ Two execution modes:
   more than one CPU.
 - **inline** — shards run sequentially in the calling process.  The fallback
   for ``n_shards=1``, for tests, and for platforms without ``fork``
-  (Windows/macOS-spawn).  Still faster than the single engine on
-  multi-source workloads: each shard drains its own sources through the
-  single-source bulk path with full-length runs, where the global k-way
-  merge of the single engine interleaves channels and cuts every run short.
+  (Windows/macOS-spawn).  On one core it buys nothing over the single
+  engine, which merges its sources per component as well.
 
 Two feed strategies, orthogonal to the mode:
 
@@ -28,11 +26,11 @@ Two feed strategies, orthogonal to the mode:
   channel up front; each shard iterates its own sources.  No per-event
   serialization.  The default whenever sources are statically routable
   (with entry-channel components they always are).
-- **router** — the coordinating process consumes the global timestamp-ordered
-  merge, encodes each run with the :mod:`~repro.shard.wire` format and
-  streams it to the owning shard (via queues in process mode).  This is the
-  path live feeds use and the one that exercises the wire protocol; it keeps
-  the global merge order, at the cost of coordinator-side work per run.
+- **router** — the coordinating process consumes the timestamp-ordered merge
+  (per component), encodes each run with the :mod:`~repro.shard.wire` format
+  and streams it to the owning shard (via queues in process mode).  This is
+  the path live feeds use and the one that exercises the wire protocol, at
+  the cost of coordinator-side work per run.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ from repro.shard.wire import (
     pack_run_record,
 )
 from repro.streams.columns import ColumnBatch
-from repro.streams.sources import StreamSource, merge_source_runs
+from repro.streams.sources import StreamSource, group_sources, merge_source_runs
 
 
 def fork_available() -> bool:
@@ -635,27 +633,20 @@ class ShardedEngine:
         return "local" if self.feed in ("auto", "local") else "router"
 
     def _component_groups(self, routable):
-        """Group routable sources by consuming plan component.
-
-        Channels in different components share no m-ops and no state, so
-        only channels feeding the *same* component need tuple-level
-        timestamp interleaving; merging per group instead of globally lets
-        a single-source component drain through the bulk ``iter_runs``
-        path with full-length runs.  A global merge over k interleaved
-        sources degenerates to run length 1 — per-tuple wire frames — which
-        is exactly the dispatch collapse sharding exists to avoid.
-        """
-        channel_component: dict[int, int] = {}
+        """Group routable sources by consuming plan component
+        (:func:`~repro.streams.sources.group_sources` over the shard plan's
+        entry channels): components share no m-ops and no state, so only
+        sources feeding the same one need tuple-level interleaving, and a
+        single-source component ships full-length runs.  Groups come in
+        first-source order, not component-index order."""
+        # Routable channels outside every component are pass-through sinks
+        # (a query marked output on a source): their order is observable, so
+        # they merge conservatively in one tuple-level group.
+        component_of = dict.fromkeys(self.shard_plan.channel_shard, -1)
         for component in self.shard_plan.components:
             for channel_id in component.entry_channel_ids:
-                channel_component[channel_id] = component.index
-        groups: dict[int, list] = {}
-        for source in routable:
-            # Channels outside every component (-1) merge conservatively
-            # in one tuple-level group.
-            key = channel_component.get(source.channel.channel_id, -1)
-            groups.setdefault(key, []).append(source)
-        return [groups[key] for key in sorted(groups)]
+                component_of[channel_id] = component.index
+        return group_sources(routable, component_of)
 
     # -- running ---------------------------------------------------------------------
 

@@ -69,9 +69,17 @@ class BufferedRunSource:
         if channel is None and self.runs:
             channel = self.runs[0][0]
         self.channel = channel
+        self._channels = tuple(
+            {each.channel_id: each for each, __ in self.runs}.values()
+        )
         #: Tuples handed to the consuming engine (drained sources deliver
         #: everything; the stats deduction reads this).
         self.delivered = 0
+
+    def channels(self) -> Sequence[Channel]:
+        """Every distinct channel the replay yields — a routed fragment
+        feed spans several, so ``channel`` alone would misplace it."""
+        return self._channels
 
     def __iter__(self) -> Iterator[tuple[Channel, ChannelTuple]]:
         for channel, batch in self.runs:
@@ -159,6 +167,9 @@ class StreamingRelaySource:
         self.edge_id = edge_id
         self._inbox = inbox
         self.delivered = 0
+
+    def channels(self) -> Sequence[Channel]:
+        return (self.channel,)
 
     def __iter__(self) -> Iterator[tuple[Channel, ChannelTuple]]:
         while True:

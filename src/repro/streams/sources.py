@@ -2,28 +2,35 @@
 
 A :class:`StreamSource` binds an iterable of :class:`StreamTuple` to the
 channel it arrives on and the member streams its tuples belong to.  The
-executor consumes one globally timestamp-ordered sequence of
-``(channel, channel_tuple)`` events, produced by :func:`merge_sources`.
+source protocol — what the merges and :func:`group_sources` use, and what
+the relay sources of :mod:`repro.shard.relay` implement without subclassing
+— is ``channel``, ``channels()``, ``__iter__`` and ``iter_runs(max_run)``.
 
-The paper's experiments interleave tuple generation across streams and feed
-them "in their timestamp ordering" (§5.1); the heap merge here implements
-exactly that, with a stable tie-break on source arrival order so runs are
-deterministic.
+**Ordering contract.**  Events reach the engine in global timestamp order
+*within a component*; components are drained one after another.  A
+component is a set of channels that can observe each other's order — they
+share an executor (transitively) or one query's sinks.  The paper feeds
+tuples "in their timestamp ordering" (§5.1), but only m-ops that share
+state can tell: :func:`group_sources` partitions the sources by component,
+and each group goes through the heap merge (:func:`merge_sources`, or its
+run-coalescing twin :func:`merge_source_runs`) on its own, with a stable
+tie-break on source position so runs are deterministic.  The per-tuple
+reference interpreter keeps one global merge over all sources.
 
-For the batched engine hot path, :func:`merge_source_runs` yields the same
-globally ordered event sequence coalesced into *runs*: maximal (capped)
-stretches of consecutive events arriving on the same channel.  Flattening the
-runs reproduces :func:`merge_sources` exactly; the engine dispatches each run
-as one batch, amortizing per-event interpreter overhead.  When a single
-source remains live, the merge bypasses the heap entirely and drains the
-iterator in a tight loop — the dominant case for single-stream workloads.
+:func:`merge_source_runs` yields a group's ordered event sequence coalesced
+into *runs*: maximal (capped) stretches of consecutive events arriving on
+the same channel.  Flattening the runs reproduces :func:`merge_sources`
+exactly; the engine dispatches each run as one batch, amortizing per-event
+interpreter overhead.  When a single source remains live, the merge bypasses
+the heap entirely and drains the iterator in a tight loop — the case for
+every single-source component.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ChannelError
 from repro.streams.channel import Channel, ChannelTuple
@@ -57,6 +64,10 @@ class StreamSource:
             self._mask = channel.full_mask
         self.channel = channel
         self._tuples = tuples
+
+    def channels(self) -> Sequence[Channel]:
+        """Every channel this source can yield events on."""
+        return (self.channel,)
 
     def __iter__(self) -> Iterator[tuple[Channel, ChannelTuple]]:
         channel = self.channel
@@ -155,6 +166,38 @@ def merge_sources(
             heapq.heappush(
                 heap, (next_ct.ts, position, next(counter), next_channel, next_ct)
             )
+
+
+def group_sources(
+    sources: Sequence[StreamSource], component_of: Mapping[int, Hashable]
+) -> list[list[StreamSource]]:
+    """Partition ``sources`` into the groups that need a tuple-level merge.
+
+    ``component_of`` maps a channel id to its component.  Sources of one
+    component form one group; groups are ordered by their first source's
+    position and keep the sources' relative order, so timestamp ties break
+    as in the global merge.  A source on a channel the map does not know
+    (nothing consumes it, nothing sinks it) is a group of its own.
+
+    A source is placed by ``source.channels()``, everything it can yield (a
+    multi-channel :class:`~repro.shard.relay.BufferedRunSource` replay has
+    several); one that spans components forces a single group — the global
+    merge.  A source that has events but no channel raises
+    :class:`ChannelError`.
+    """
+    groups: dict[Hashable, list[StreamSource]] = {}
+    for position, source in enumerate(sources):
+        channels = source.channels()
+        if any(channel is None for channel in channels):
+            raise ChannelError(
+                f"source {source!r} yields events but is bound to no channel"
+            )
+        stray = ("stray", position)
+        keys = {component_of.get(c.channel_id, stray) for c in channels}
+        if len(keys) > 1:
+            return [list(sources)]
+        groups.setdefault(keys.pop() if keys else stray, []).append(source)
+    return list(groups.values())
 
 
 def merge_source_runs(

@@ -41,30 +41,35 @@ def event_entries(
     max_size: int = 40,
     a0_max: int = 3,
     a1_max: int = 5,
+    ties: bool = False,
 ):
     """Random event interleavings as ``(stream index, a0, a1)`` entries.
 
     Timestamps are implicit: entry ``i`` fires at ts ``i``, so the global
     order is total and identical however the entries are later split into
-    per-stream sources.
+    per-stream sources.  With ``ties`` each entry carries a fourth element,
+    the gap (0 or 1) to the previous entry's ts — several sources then fire
+    at the same ts and the merge's source-position tie-break decides.
     """
-    return st.lists(
-        st.tuples(
-            st.integers(0, n_streams - 1),
-            st.integers(0, a0_max),
-            st.integers(0, a1_max),
-        ),
-        min_size=min_size,
-        max_size=max_size,
-    )
+    fields = [
+        st.integers(0, n_streams - 1),
+        st.integers(0, a0_max),
+        st.integers(0, a1_max),
+    ]
+    if ties:
+        fields.append(st.integers(0, 1))
+    return st.lists(st.tuples(*fields), min_size=min_size, max_size=max_size)
 
 
 def split_entries(
     entries, n_streams: int, schema: Schema = EVENT_SCHEMA
 ) -> list[list[StreamTuple]]:
-    """Turn entry tuples into per-stream StreamTuple lists (ts = position)."""
+    """Turn entry tuples into per-stream StreamTuple lists (ts = position,
+    or the running sum of the gaps for ``ties`` entries)."""
     by_stream: list[list[StreamTuple]] = [[] for __ in range(n_streams)]
-    for ts, (target, a0, a1) in enumerate(entries):
+    ts = 0
+    for position, (target, a0, a1, *gap) in enumerate(entries):
+        ts = ts + gap[0] if gap else position
         by_stream[target].append(StreamTuple(schema, (a0, a1), ts))
     return by_stream
 
@@ -72,10 +77,10 @@ def split_entries(
 # -- plan builders ------------------------------------------------------------------
 
 
-def mixed_plan():
-    """Selections (→ predicate index) + a sequence + a multi-query sink."""
+def _add_mixed_component(plan: QueryPlan):
+    """Sources S and T with two selections on S (→ predicate index) and a
+    sequence joining σ(S) with T — one two-source component."""
     schema = EVENT_SCHEMA
-    plan = QueryPlan()
     s = plan.add_source("S", schema)
     t = plan.add_source("T", schema)
     sel1 = plan.add_operator(
@@ -96,41 +101,57 @@ def mixed_plan():
         query_id="q_seq",
     )
     plan.mark_output(seq, "q_seq")
+    return s, t
+
+
+def mixed_plan():
+    """Selections (→ predicate index) + a sequence + a multi-query sink."""
+    plan = QueryPlan()
+    s, t = _add_mixed_component(plan)
     Optimizer().optimize(plan)
     return plan, (s, t)
 
 
 def two_component_plan():
     """The mixed plan (S, T component) plus an independent U component."""
-    schema = EVENT_SCHEMA
     plan = QueryPlan()
-    s = plan.add_source("S", schema)
-    t = plan.add_source("T", schema)
-    u = plan.add_source("U", schema)
-    sel1 = plan.add_operator(
-        Selection(Comparison(attr("a0"), "==", lit(1))), [s], query_id="q_sel1"
-    )
-    plan.mark_output(sel1, "q_sel1")
-    sel2 = plan.add_operator(
-        Selection(Comparison(attr("a0"), "==", lit(2))), [s], query_id="q_sel2"
-    )
-    plan.mark_output(sel2, "q_sel2")
-    seq = plan.add_operator(
-        Sequence(
-            conjunction(
-                [DurationWithin(6), Comparison(right("a0"), "==", lit(1))]
-            )
-        ),
-        [sel1, t],
-        query_id="q_seq",
-    )
-    plan.mark_output(seq, "q_seq")
+    s, t = _add_mixed_component(plan)
+    u = plan.add_source("U", EVENT_SCHEMA)
     other = plan.add_operator(
         Selection(Comparison(attr("a0"), ">", lit(0))), [u], query_id="q_u"
     )
     plan.mark_output(other, "q_u")
     Optimizer().optimize(plan)
     return plan, (s, t, u)
+
+
+def independent_components_plan(k: int):
+    """``k`` independent σ-components (sources ``A0..``), the mixed S, T
+    component and one query ``q_both`` with a sink in each of two
+    otherwise-disjoint components (X, Y): every way two source channels can
+    — or cannot — observe each other's order.  Handles are in that order."""
+    plan = QueryPlan()
+    for index in range(k):
+        source = plan.add_source(f"A{index}", EVENT_SCHEMA)
+        for constant in (1, 2):
+            query_id = f"q_a{index}_{constant}"
+            out = plan.add_operator(
+                Selection(Comparison(attr("a0"), "==", lit(constant))),
+                [source],
+                query_id=query_id,
+            )
+            plan.mark_output(out, query_id)
+    _add_mixed_component(plan)
+    for name in ("X", "Y"):
+        source = plan.add_source(name, EVENT_SCHEMA)
+        out = plan.add_operator(
+            Selection(Comparison(attr("a0"), ">", lit(0))),
+            [source],
+            query_id="q_both",
+        )
+        plan.mark_output(out, "q_both")
+    Optimizer().optimize(plan)
+    return plan, tuple(plan.sources)
 
 
 # -- churn schedules ----------------------------------------------------------------

@@ -10,19 +10,27 @@ through a mixed plan to probe shapes the workloads do not cover.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.mop import MOpExecutor
 from repro.core.optimizer import Optimizer
 from repro.core.plan import QueryPlan
 from repro.engine.executor import StreamEngine
+from repro.engine.migration import migrate_engine
 from repro.operators.expressions import attr, lit
-from repro.operators.predicates import Comparison
+from repro.operators.predicates import Comparison, DurationWithin, conjunction
 from repro.operators.select import Selection
+from repro.operators.sequence import Sequence
 from repro.runtime import QueryRuntime
+from repro.streams.columns import ColumnBatch
 from repro.streams.schema import Schema
-from repro.streams.sources import StreamSource, merge_source_runs, merge_sources
+from repro.streams.sources import (
+    ColumnRunSource,
+    StreamSource,
+    merge_source_runs,
+    merge_sources,
+)
 from repro.streams.tuples import StreamTuple
 from repro.workloads.churn import ChurnWorkload, drive, drive_batched
 from repro.workloads.perfmon import PerfmonDataset
@@ -30,7 +38,9 @@ from repro.workloads.synthetic import synthetic_schema
 from repro.workloads.templates import HybridWorkload
 from repro.workloads.zipf import ZipfSampler
 from strategies import (
+    EVENT_SCHEMA,
     event_entries,
+    independent_components_plan,
     max_batches,
     mixed_plan,
     split_entries,
@@ -55,6 +65,7 @@ def assert_equivalent(per_tuple, batched):
     """Outputs byte-identical: per-query counts, content, ts and order."""
     assert per_tuple[0].outputs_by_query == batched[0].outputs_by_query
     assert per_tuple[0].input_events == batched[0].input_events
+    assert per_tuple[0].physical_input_events == batched[0].physical_input_events
     assert per_tuple[0].output_events == batched[0].output_events
     assert per_tuple[0].physical_events == batched[0].physical_events
     assert per_tuple[1] == batched[1]
@@ -354,6 +365,187 @@ class TestRandomInterleavings:
         assert_equivalent(per_tuple, batched)
 
 
+# -- component-grouped source merging -----------------------------------------------
+
+
+def spy_run_lengths(engine):
+    """Record ``(channel_id, run length)`` of every run ``run`` dispatches."""
+    dispatched = []
+    run_batch = engine._run_batch
+
+    def spy(channel, batch, stats):
+        dispatched.append((channel.channel_id, len(batch)))
+        run_batch(channel, batch, stats)
+
+    engine._run_batch = spy
+    return dispatched
+
+
+class TestComponentGroupedMerging:
+    """``run`` orders only what shares state: sources merge tuple-by-tuple
+    within a component, components drain one after another — and nothing a
+    query can observe distinguishes that from the global merge."""
+
+    @given(
+        k=st.integers(1, 4),
+        entries=event_entries(n_streams=8, max_size=60, ties=True),
+        order=st.permutations(range(8)),
+        columnar=st.booleans(),
+        max_batch=max_batches,
+    )
+    @example(  # q_both's two sinks (X, Y) and the S;T sequence, with ts ties
+        k=2,
+        entries=[(6, 1, 0, 1), (7, 1, 0, 1), (6, 2, 0, 1), (4, 1, 0, 0),
+                 (5, 1, 0, 0), (5, 1, 1, 1), (0, 1, 0, 0), (1, 2, 0, 1)],
+        order=(7, 6, 5, 4, 3, 2, 1, 0),
+        columnar=False,
+        max_batch=4,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_grouped_equals_per_tuple(
+        self, k, entries, order, columnar, max_batch
+    ):
+        # Targets 0..3 fold onto the k σ-sources, 4..7 are S, T, X, Y — so
+        # half the events land where order is observable, whatever k is.
+        n_streams = k + 4
+        by_stream = split_entries(
+            [
+                (target % k if target < 4 else k + target - 4, *rest)
+                for target, *rest in entries
+            ],
+            n_streams,
+        )
+
+        def sources_of(plan, handles):
+            built = []
+            for index in order:
+                if index >= n_streams:
+                    continue
+                channel = plan.channel_of(handles[index])
+                tuples = by_stream[index]
+                if columnar and tuples:
+                    batch = ColumnBatch.from_rows(
+                        EVENT_SCHEMA, tuples, channel.full_mask
+                    )
+                    built.append(ColumnRunSource(channel, batch))
+                else:
+                    built.append(StreamSource(channel, tuples))
+            return built
+
+        per_tuple, batched = run_both_ways(
+            lambda: independent_components_plan(k), sources_of, max_batch
+        )
+        assert_equivalent(per_tuple, batched)
+
+    def test_components_of_the_plan(self):
+        plan, handles = independent_components_plan(2)
+        engine = StreamEngine(plan)
+        component = engine.channel_components()
+        a0, a1, s, t, x, y = (
+            component[plan.channel_of(handle).channel_id] for handle in handles
+        )
+        assert s == t, "the sequence joins S and T"
+        assert x == y, "q_both sinks in both"
+        assert len({a0, a1, s, x}) == 4
+
+    def test_independent_sources_get_full_length_runs(self):
+        # Fails at the parent commit: one global merge over four
+        # timestamp-interleaved sources cuts every run to a single event.
+        schema = synthetic_schema()
+        plan = QueryPlan()
+        handles = [plan.add_source(f"S{i}", schema) for i in range(4)]
+        for index, handle in enumerate(handles):
+            out = plan.add_operator(
+                Selection(Comparison(attr("a0"), "==", lit(1))),
+                [handle],
+                query_id=f"q{index}",
+            )
+            plan.mark_output(out, f"q{index}")
+        per_source = [
+            [
+                StreamTuple(schema, (ts % 3,) * len(schema), ts)
+                for ts in range(index, 400, 4)
+            ]
+            for index in range(4)
+        ]
+        engine = StreamEngine(plan, max_batch=16)
+        dispatched = spy_run_lengths(engine)
+        engine.run(
+            [
+                StreamSource(plan.channel_of(handle), tuples)
+                for handle, tuples in zip(handles, per_source)
+            ]
+        )
+        for handle in handles:
+            channel_id = plan.channel_of(handle).channel_id
+            lengths = [n for cid, n in dispatched if cid == channel_id]
+            assert lengths == [16] * 6 + [4]
+
+    def _bridged_serve(self, batching):
+        """Two runs over S and T; between them the plan gains a sequence
+        bridging the two (until then independent) sources."""
+        schema = EVENT_SCHEMA
+        plan = QueryPlan()
+        s = plan.add_source("S", schema)
+        t = plan.add_source("T", schema)
+        sel = plan.add_operator(
+            Selection(Comparison(attr("a0"), "==", lit(1))), [s], query_id="q_s"
+        )
+        plan.mark_output(sel, "q_s")
+        other = plan.add_operator(
+            Selection(Comparison(attr("a0"), "==", lit(1))), [t], query_id="q_t"
+        )
+        plan.mark_output(other, "q_t")
+        engine = StreamEngine(
+            plan, capture_outputs=True, batching=batching, max_batch=8
+        )
+
+        def sources(first, last):
+            return [
+                StreamSource(
+                    plan.channel_of(handle),
+                    [
+                        StreamTuple(schema, (ts % 4 // 2, ts), ts)
+                        for ts in range(first + offset, last, 2)
+                    ],
+                )
+                for offset, handle in enumerate((s, t))
+            ]
+
+        channels = [plan.channel_of(s).channel_id, plan.channel_of(t).channel_id]
+        dispatched = spy_run_lengths(engine)
+        stats = engine.run(sources(0, 40))
+        before = list(dispatched)
+        seq = plan.add_operator(
+            Sequence(
+                conjunction(
+                    [DurationWithin(4), Comparison(attr("a1"), ">", lit(0))]
+                )
+            ),
+            [sel, t],
+            query_id="q_seq",
+        )
+        plan.mark_output(seq, "q_seq")
+        migrate_engine(engine)
+        del dispatched[:]
+        stats.absorb(engine.run(sources(40, 80)))
+        return engine, stats, channels, before, list(dispatched)
+
+    def test_bridging_query_invalidates_the_component_cache(self):
+        reference, reference_stats, *__ = self._bridged_serve(batching=False)
+        engine, stats, (s, t), before, after = self._bridged_serve(
+            batching=True
+        )
+        # Independent: each source drained whole, in full-length runs.
+        assert before == [(s, 8), (s, 8), (s, 4), (t, 8), (t, 8), (t, 4)]
+        # Bridged: the second call interleaves S and T tuple by tuple.
+        assert after == [(s, 1), (t, 1)] * 20
+        assert reference_stats.outputs_by_query["q_seq"] > 0
+        assert_equivalent(
+            (reference_stats, reference.captured), (stats, engine.captured)
+        )
+
+
 # -- sharded axis: the equivalence contract extends across shards -------------------
 
 
@@ -397,6 +589,48 @@ class TestShardedRandomInterleavings:
         assert aggregate.outputs_by_query == per_tuple.outputs_by_query
         assert aggregate.input_events == per_tuple.input_events
         assert aggregate.output_events == per_tuple.output_events
+        assert sharded.captured == reference.captured
+
+    @pytest.mark.parametrize("feed", ["local", "router"])
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_pass_through_query_on_two_sources(self, n_shards, feed):
+        # ``qp`` sinks directly on the sources P1 and P2: they are in no
+        # shard-plan component, yet their relative order is observable.
+        from repro.shard import ShardedEngine
+
+        def build():
+            plan = QueryPlan()
+            s, p1, p2 = (plan.add_source(n, EVENT_SCHEMA) for n in ("S", "P1", "P2"))
+            sel = plan.add_operator(
+                Selection(Comparison(attr("a0"), "==", lit(1))), [s], query_id="q"
+            )
+            plan.mark_output(sel, "q")
+            plan.mark_output(p1, "qp")
+            plan.mark_output(p2, "qp")
+            return plan, [
+                StreamSource(
+                    plan.channel_of(handle),
+                    [
+                        StreamTuple(EVENT_SCHEMA, (1, ts), ts)
+                        for ts in range(offset, 30, 3)
+                    ],
+                )
+                for offset, handle in enumerate((s, p1, p2))
+            ]
+
+        plan, sources = build()
+        reference = StreamEngine(plan, capture_outputs=True, batching=False)
+        per_tuple = reference.run(sources)
+        plan, sources = build()
+        sharded = ShardedEngine(
+            plan, n_shards, parallel=False, feed=feed, capture_outputs=True
+        )
+        aggregate = sharded.run(sources).aggregate
+        assert [t.ts for t in reference.captured["qp"]] == [
+            ts for ts in range(30) if ts % 3
+        ]
+        assert aggregate.outputs_by_query == per_tuple.outputs_by_query
+        assert aggregate.input_events == per_tuple.input_events
         assert sharded.captured == reference.captured
 
 

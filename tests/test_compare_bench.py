@@ -28,9 +28,9 @@ def throughput_results(headline=5.0, zipf=5.0, churn=1.0):
     }
 
 
-def shard_results(headline=3.0):
+def shard_results(headline=0.95):
     return {
-        "headline": {"sharded_4x_speedup": headline},
+        "headline": {"sharded_inline_parity": headline},
         "workloads": {
             "partitionable_zipf": {
                 "cells": {
@@ -52,10 +52,10 @@ class TestIterSpeedups:
 
     def test_extracts_shard_metrics(self):
         metrics = dict(iter_speedups(shard_results()))
-        assert metrics["headline.sharded_4x_speedup"] == 3.0
+        assert metrics["headline.sharded_inline_parity"] == 0.95
         assert (
             metrics["partitionable_zipf.sharded_4.speedup_vs_single_batched"]
-            == 3.0
+            == 0.95
         )
 
 

@@ -55,6 +55,35 @@ class TestRun:
         )
         assert stats.input_events == 2
 
+    def test_warmup_split_is_on_the_global_order(self):
+        # Two independent sources: the warmed events are the first four of
+        # the global timestamp order, not the first four of source one.
+        def measured(batching):
+            plan = QueryPlan()
+            handles = [plan.add_source(name, SCHEMA) for name in "ST"]
+            for handle in handles:
+                out = plan.add_operator(
+                    Selection(Comparison(attr("a"), "==", lit(1))),
+                    [handle],
+                    query_id=f"q_{handle.name}",
+                )
+                plan.mark_output(out, f"q_{handle.name}")
+            engine = StreamEngine(plan, capture_outputs=True, batching=batching)
+            stats = engine.run(
+                [
+                    StreamSource(
+                        plan.channel_of(handle),
+                        [StreamTuple(SCHEMA, (1,), ts) for ts in range(first, 12, 2)],
+                    )
+                    for first, handle in enumerate(handles)
+                ],
+                warmup_events=4,
+            )
+            return stats.outputs_by_query, engine.captured
+
+        assert measured(batching=True) == measured(batching=False)
+        assert measured(batching=True)[0] == {"q_S": 4, "q_T": 4}
+
     def test_process_single_event(self):
         plan, source = simple_plan()
         engine = StreamEngine(plan)

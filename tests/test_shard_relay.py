@@ -27,7 +27,7 @@ from repro.shard.wire import RelayCodec
 from repro.engine.metrics import RunStats
 from repro.streams.channel import ChannelTuple
 from repro.streams.schema import Schema
-from repro.streams.sources import StreamSource
+from repro.streams.sources import StreamSource, merge_source_runs
 from repro.streams.tuples import StreamTuple
 
 SCHEMA = Schema.numbered(2)
@@ -216,6 +216,43 @@ class TestRelayPrimitives:
         source = BufferedRunSource(runs, channel=channel)
         assert len(list(source)) == 10
         assert source.delivered == 10
+
+    def test_multi_channel_replay_stays_byte_identical(self):
+        """A replay spanning two components (its first run on the
+        independent U) must still merge tuple-by-tuple with T, or T drains
+        whole before S and the sequence finds nothing to pair."""
+
+        def build():
+            plan, (s, t) = bridge_plan()
+            u = plan.add_source("U", SCHEMA)
+            out = plan.add_operator(
+                Selection(Comparison(attr("a0"), "==", lit(2))), [u],
+                query_id="q_u",
+            )
+            plan.mark_output(out, "q_u")
+            return plan, (u, s, t)
+
+        per_source = [[], [], []]
+        for ts in range(180):
+            per_source[ts % 3].append(StreamTuple(SCHEMA, (ts % 4, ts), ts))
+        plan, handles = build()
+        reference = StreamEngine(plan, capture_outputs=True, batching=False)
+        expected = reference.run(make_sources(plan, handles, per_source))
+        assert expected.outputs_by_query["q_seq"] > 0
+
+        plan, handles = build()
+        u_source, s_source, t_source = make_sources(plan, handles, per_source)
+        replay = BufferedRunSource(
+            list(merge_source_runs([u_source, s_source], 8))
+        )
+        assert replay.channel is plan.channel_of(handles[0])
+        assert len(replay.channels()) == 2
+        engine = StreamEngine(plan, capture_outputs=True, max_batch=8)
+        stats = engine.run([t_source, replay])
+        assert stats.outputs_by_query == expected.outputs_by_query
+        assert stats.input_events == expected.input_events
+        assert stats.physical_events == expected.physical_events
+        assert engine.captured == reference.captured
 
     def test_codec_round_trip_and_gap_detection(self):
         channel = self._channel()

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ChannelError
 from repro.streams.channel import Channel
 from repro.streams.schema import Schema
-from repro.streams.sources import StreamSource, merge_sources
+from repro.streams.sources import StreamSource, group_sources, merge_sources
 from repro.streams.stream import StreamDef
 from repro.streams.tuples import StreamTuple
 
@@ -75,3 +75,50 @@ class TestMerge:
         channel = Channel.singleton(StreamDef("A", schema))
         merged = merge_sources([StreamSource(channel, tuples_at(schema, [3, 7]))])
         assert [ct.ts for __, ct in merged] == [3, 7]
+
+
+class TestGroupSources:
+    def _sources(self, schema, count):
+        return [
+            StreamSource(
+                Channel.singleton(StreamDef(f"S{i}", schema)), tuples_at(schema, [i])
+            )
+            for i in range(count)
+        ]
+
+    def test_groups_by_component_in_first_source_order(self, schema):
+        a, b, c, d = sources = self._sources(schema, 4)
+        ids = [source.channel.channel_id for source in sources]
+        component_of = {ids[0]: "x", ids[1]: "y", ids[2]: "x", ids[3]: "y"}
+        assert group_sources([b, a, c, d], component_of) == [[b, d], [a, c]]
+
+    def test_unknown_channels_are_their_own_groups(self, schema):
+        a, b, c = self._sources(schema, 3)
+        component_of = {a.channel.channel_id: 0}
+        assert group_sources([b, a, c], component_of) == [[b], [a], [c]]
+
+    def test_source_spanning_components_forces_one_group(self, schema):
+        a, b, c = self._sources(schema, 3)
+
+        class Replay:
+            channel = a.channel
+
+            def channels(self):
+                return [a.channel, b.channel]
+
+        replay = Replay()
+        separate = {s.channel.channel_id: i for i, s in enumerate((a, b, c))}
+        assert group_sources([c, replay], separate) == [[c, replay]]
+        joined = {**separate, b.channel.channel_id: 0}
+        assert group_sources([c, replay], joined) == [[c], [replay]]
+
+    def test_channelless_source_is_named(self, schema):
+        class Orphan:
+            def channels(self):
+                return (None,)
+
+            def __repr__(self):
+                return "<orphan source>"
+
+        with pytest.raises(ChannelError, match="<orphan source>"):
+            group_sources([Orphan()], {})

@@ -18,9 +18,9 @@ exactly as a shard does.  What is left to measure:
   cost, not a speedup.  (Before the single engine grouped its merge, these
   cells read 0.82x / 0.90x / 7.08x: the cliff at 4 shards was the baseline
   collapsing to runs of length 1, not sharding.)
-- **process placement** — the ``sharded_4_process_*`` cells fork workers
-  (at most one per CPU) behind the wire router; any lead they show over
-  ``single_batched`` is the data plane and, on a multi-core host,
+- **process placement** — the ``sharded_4_process_columnar`` cell forks
+  workers (at most one per CPU) behind the wire router; any lead it shows
+  over ``single_batched`` is the data plane and, on a multi-core host,
   parallelism.  ``meta.cpu_count`` and each cell's ``mode`` are recorded so
   a single-core recording is never read as a parallel one.
 
@@ -261,9 +261,8 @@ def bench_partitionable_zipf(scale: ShardScale) -> dict:
             ),
         }
 
-    # Process-mode data-plane cells: 4 forked workers behind the wire
-    # router, once over the legacy pickle wire and once over the columnar
-    # plane (packed columns + shared-memory rings), fed by columnar-native
+    # Process-mode data-plane cell: 4 forked workers behind the wire
+    # router (packed columns + shared-memory rings), fed by columnar-native
     # sources so nothing materializes rows on the way in.  wall_seconds is
     # the drain only; startup is reported as spawn_seconds.
     def _columnar_sources(plan, sources):
@@ -277,38 +276,29 @@ def bench_partitionable_zipf(scale: ShardScale) -> dict:
         return built
 
     if fork_available():
-        for plane in ("pickle", "columnar"):
-            best = None
-            for __ in range(scale.repeats):
-                plan, sources = build()
-                sharded = ShardedEngine(
-                    plan, 4, parallel=True, feed="router",
-                    max_batch=scale.max_batch, data_plane=plane,
-                )
-                feed_sources = (
-                    _columnar_sources(plan, sources)
-                    if plane == "columnar"
-                    else _make_sources(plan, sources, per_source)
-                )
-                run = sharded.run(feed_sources)
-                if best is None or run.throughput > best.throughput:
-                    best = run
-            aggregate = best.aggregate
-            _require_equivalent(
-                f"zipf/process_{plane}", best_baseline, aggregate
+        best = None
+        for __ in range(scale.repeats):
+            plan, sources = build()
+            sharded = ShardedEngine(
+                plan, 4, parallel=True, feed="router",
+                max_batch=scale.max_batch,
             )
-            result["cells"][f"sharded_4_process_{plane}"] = {
-                "events_per_sec": round(best.throughput, 1),
-                "wall_seconds": round(best.wall_seconds, 6),
-                "spawn_seconds": round(best.spawn_seconds, 6),
-                "busy_seconds": round(best.busy_seconds, 6),
-                "mode": best.mode,
-                "data_plane": plane,
-                "output_events": aggregate.output_events,
-                "speedup_vs_single_batched": round(
-                    best.throughput / max(best_baseline.throughput, 1e-9), 2
-                ),
-            }
+            run = sharded.run(_columnar_sources(plan, sources))
+            if best is None or run.throughput > best.throughput:
+                best = run
+        aggregate = best.aggregate
+        _require_equivalent("zipf/process_columnar", best_baseline, aggregate)
+        result["cells"]["sharded_4_process_columnar"] = {
+            "events_per_sec": round(best.throughput, 1),
+            "wall_seconds": round(best.wall_seconds, 6),
+            "spawn_seconds": round(best.spawn_seconds, 6),
+            "busy_seconds": round(best.busy_seconds, 6),
+            "mode": best.mode,
+            "output_events": aggregate.output_events,
+            "speedup_vs_single_batched": round(
+                best.throughput / max(best_baseline.throughput, 1e-9), 2
+            ),
+        }
     return result
 
 
@@ -382,8 +372,9 @@ def bench_bridge(scale: ShardScale) -> dict:
     ``sharded_4_bridge_unsplit`` forces whole-component placement
     (``split=False``, the pre-relay behaviour); ``sharded_4_bridge_split``
     lets the planner cut each oversized component at its bridge channel.
-    Both data planes are additionally checked byte-identical against the
-    single batched engine over forked workers (identity only, not timed).
+    The split serve is additionally checked byte-identical against the
+    single batched engine over forked workers behind the columnar router
+    (identity only, not timed).
     """
     per_source = interleaved_zipf_tuples(4, scale.bridge_events, seed=13)
     result: dict = {
@@ -453,20 +444,19 @@ def bench_bridge(scale: ShardScale) -> dict:
             ),
         }
 
-    # Byte-identity over forked workers on both data planes.  worker_cap=4
-    # keeps one fragment per worker even on small hosts, so relay frames
-    # genuinely cross worker boundaries.
+    # Byte-identity over forked workers.  worker_cap=4 keeps one fragment
+    # per worker even on small hosts, so relay frames genuinely cross
+    # worker boundaries.
     verified = []
     if fork_available():
-        for plane in ("pickle", "columnar"):
-            plan, handles = bridge_plan(scale)
-            sharded = ShardedEngine(
-                plan, 4, parallel=True, feed="router", capture_outputs=True,
-                max_batch=scale.max_batch, data_plane=plane, worker_cap=4,
-            )
-            run = sharded.run(_make_sources(plan, handles, per_source))
-            check_identity(f"bridge/process_{plane}", run, sharded)
-            verified.append(plane)
+        plan, handles = bridge_plan(scale)
+        sharded = ShardedEngine(
+            plan, 4, parallel=True, feed="router", capture_outputs=True,
+            max_batch=scale.max_batch, worker_cap=4,
+        )
+        run = sharded.run(_make_sources(plan, handles, per_source))
+        check_identity("bridge/process_columnar", run, sharded)
+        verified.append("columnar")
     result["verified_planes"] = verified
     return result
 
@@ -628,10 +618,10 @@ def run_benchmark(scale: ShardScale) -> dict:
             f"({split_cell['events_per_sec']:,.0f} vs "
             f"{unsplit_cell['events_per_sec']:,.0f} ev/s)"
         )
-    if set(bridge["verified_planes"]) != {"pickle", "columnar"}:
+    if bridge["verified_planes"] != ["columnar"]:
         raise AssertionError(
-            f"bridge byte-identity must be verified on both data planes, "
-            f"got {bridge['verified_planes']}"
+            f"bridge byte-identity must be verified over forked workers on "
+            f"the columnar plane, got {bridge['verified_planes']}"
         )
     return results
 

@@ -253,14 +253,6 @@ def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
         "cross-process rebalance)",
     )
     group.add_argument(
-        "--data-plane",
-        choices=("columnar", "pickle"),
-        default="columnar",
-        help="process mode: source-run transport — 'columnar' ships packed "
-        "columns over shared-memory rings (per-run pickle fallback), "
-        "'pickle' forces the legacy tuple wire (the equivalence oracle)",
-    )
-    group.add_argument(
         "--full-rebuild",
         action="store_true",
         help="stop-the-world baseline: full re-optimization + engine rebuild "
@@ -373,7 +365,6 @@ def _runtime_config_from_args(
         track_latency=args.latency,
         incremental=not args.full_rebuild,
         observe=args.observe,
-        data_plane=args.data_plane,
         durable=args.durable,
         checkpoint_every=args.checkpoint_every,
         checkpoint_dir=args.checkpoint_dir,

@@ -87,13 +87,12 @@ class WorkloadError(RumorError):
 
 
 class WorkerUnreachableError(LifecycleError):
-    """Raised when a worker exhausts the RPC retry budget without replying.
+    """Raised when a worker exhausts its RPC retransmissions without replying.
 
     The worker process is still alive (a dead worker raises
     ``WorkerCrashError`` and is recovered instead) but never acknowledged
-    the command within ``max_retries`` retransmissions or
-    ``retry_budget`` seconds — the structured alternative to retrying
-    forever.  Carries the shard, command kind, attempt count and elapsed
+    the command within ``max_retries`` retransmissions — the structured
+    alternative to retrying forever.  Carries the shard, command kind, attempt count and elapsed
     wall-clock so operators can tell a wedged worker from a slow one.
     """
 

@@ -21,55 +21,17 @@ re-implemented the "which runtime do I build" decision tree.
 
 Invalid combinations fail in :meth:`RuntimeConfig.validate` with
 actionable one-line errors naming both the library field and the CLI flag
-that fixes them.
-
-The old constructors keep working but emit a :class:`DeprecationWarning`
-when called directly from application code; internal construction (a
-sharded runtime building its per-shard engines, a worker process building
-its runtime, the factory itself) is exempt via
-:func:`internal_construction`.
+that fixes them.  The runtime classes stay directly constructible (the
+factory, sharded runtimes and worker processes build them that way);
+:func:`open_runtime` is the documented entry point.
 """
 
 from __future__ import annotations
 
-import threading
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.errors import LifecycleError
-
-_construction = threading.local()
-
-
-@contextmanager
-def internal_construction():
-    """Suppress the direct-construction deprecation warning.
-
-    Used by the factory and by runtimes that build other runtimes as
-    implementation detail (per-shard engines, worker processes) — those
-    constructions are not application entry points.
-    """
-    depth = getattr(_construction, "depth", 0)
-    _construction.depth = depth + 1
-    try:
-        yield
-    finally:
-        _construction.depth = depth
-
-
-def warn_direct_construction(name: str) -> None:
-    """Emit the legacy-constructor deprecation warning (once per site)."""
-    if getattr(_construction, "depth", 0):
-        return
-    warnings.warn(
-        f"direct construction of {name} is deprecated; build it through "
-        f"repro.open_runtime(RuntimeConfig(...)) so runtime selection and "
-        f"option validation live in one place",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -94,10 +56,6 @@ class RuntimeConfig:
     incremental: bool = True
     observe: bool = False
     max_batch: int = 1024
-    #: Process mode: source-run transport — ``"columnar"`` ships packed
-    #: columns over per-worker shared-memory rings (pickle fallback per
-    #: run), ``"pickle"`` forces the legacy tuple wire everywhere.
-    data_plane: str = "columnar"
     #: Process mode: keep per-shard write-ahead logs for crash recovery.
     durable: bool = False
     #: Process mode: checkpoint every N batches (implies ``durable``).
@@ -109,10 +67,8 @@ class RuntimeConfig:
     #: Cold-start from ``journal`` instead of building a fresh fleet.
     resume: bool = False
     differential: bool = True
-    full_checkpoint_every: int = 8
     command_timeout: float = 2.0
     max_retries: int = 30
-    retry_budget: float = 0.0
     #: Extra keyword arguments forwarded verbatim to the selected
     #: constructor (fault harnesses, custom stores — test-only surface).
     extra: dict = field(default_factory=dict)
@@ -159,11 +115,6 @@ class RuntimeConfig:
             raise LifecycleError(
                 f"max_batch must be at least 1, got {self.max_batch}"
             )
-        if self.data_plane not in ("columnar", "pickle"):
-            raise LifecycleError(
-                f"data_plane must be 'columnar' or 'pickle', got "
-                f"{self.data_plane!r} (--data-plane columnar|pickle)"
-            )
         return self
 
 
@@ -182,31 +133,30 @@ def open_runtime(config: Optional[RuntimeConfig] = None, **overrides):
     if overrides:
         config = replace(config, **overrides)
     config.validate()
-    with internal_construction():
-        if config.process:
-            return _open_process(config)
-        if config.resolved_shards > 1:
-            from repro.shard.runtime import ShardedRuntime
+    if config.process:
+        return _open_process(config)
+    if config.resolved_shards > 1:
+        from repro.shard.runtime import ShardedRuntime
 
-            return ShardedRuntime(
-                config.sources,
-                n_shards=config.resolved_shards,
-                capture_outputs=config.capture_outputs,
-                track_latency=config.track_latency,
-                incremental=config.incremental,
-                observe=config.observe,
-                **config.extra,
-            )
-        from repro.runtime.runtime import QueryRuntime
-
-        return QueryRuntime(
+        return ShardedRuntime(
             config.sources,
+            n_shards=config.resolved_shards,
             capture_outputs=config.capture_outputs,
             track_latency=config.track_latency,
             incremental=config.incremental,
             observe=config.observe,
             **config.extra,
         )
+    from repro.runtime.runtime import QueryRuntime
+
+    return QueryRuntime(
+        config.sources,
+        capture_outputs=config.capture_outputs,
+        track_latency=config.track_latency,
+        incremental=config.incremental,
+        observe=config.observe,
+        **config.extra,
+    )
 
 
 def _open_process(config: RuntimeConfig):
@@ -233,15 +183,12 @@ def _open_process(config: RuntimeConfig):
         incremental=config.incremental,
         observe=config.observe,
         max_batch=config.max_batch,
-        data_plane=config.data_plane,
         durable=config.durable,
         checkpoint_every=config.checkpoint_every,
         store=store,
         journal=config.journal,
         differential=config.differential,
-        full_checkpoint_every=config.full_checkpoint_every,
         command_timeout=config.command_timeout,
         max_retries=config.max_retries,
-        retry_budget=config.retry_budget,
         **config.extra,
     )

@@ -41,7 +41,6 @@ from repro.engine.migration import MigrationStats, migrate_engine
 from repro.errors import LifecycleError, QueryLanguageError
 from repro.lang.ast import LogicalQuery
 from repro.lang.compiler import compile_into
-from repro.runtime.config import warn_direct_construction
 from repro.streams.channel import Channel, ChannelTuple
 from repro.streams.schema import Schema
 from repro.streams.stream import StreamDef
@@ -96,7 +95,6 @@ class QueryRuntime:
         incremental: bool = True,
         observe=False,
     ):
-        warn_direct_construction("QueryRuntime")
         self.plan = QueryPlan()
         self.optimizer = optimizer or Optimizer()
         self.incremental = incremental

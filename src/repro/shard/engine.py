@@ -2,35 +2,43 @@
 
 :class:`ShardedEngine` partitions a (typically optimized) plan with
 :class:`~repro.shard.planner.ShardPlanner` and runs one batched
-:class:`~repro.engine.executor.StreamEngine` per shard.  Because shards are
-unions of entry-channel connected components, the engines share no m-ops and
-no channels: feeding each shard exactly the source events on its own entry
-channels reproduces the single-engine outputs byte-for-byte, per query.
+:class:`~repro.engine.executor.StreamEngine` per shard.  Shards are unions of
+plan components, which share no m-ops and no channels (bar the bridge
+channels the planner cuts and relays): feeding each component exactly the
+source events on its own entry channels reproduces the single-engine
+outputs byte-for-byte, per query.
+
+One drain core.  Every run is a **fragment schedule**
+(:func:`~repro.shard.relay.build_fragment_schedule`): one descriptor per
+component, in topological order, executed by :func:`_execute_fragments` —
+inline, or on worker processes each hosting some of the shards.  A plan
+without bridge cuts is simply the schedule with zero relay edges.
 
 Two execution modes:
 
 - **process** — ``multiprocessing`` workers (at most one per CPU, each
   hosting one or more shard engines), using the ``fork`` start method so
-  workers inherit their sub-plan, engine and sources without pickling a
-  single plan object; only results (RunStats and captured outputs) cross
-  back.  Chosen automatically when the platform supports ``fork`` and has
-  more than one CPU.
+  workers inherit their sub-plan, engine, schedule and sources without
+  pickling a single plan object; only results (RunStats and captured
+  outputs) cross back.  Chosen automatically when the platform supports
+  ``fork`` and has more than one CPU.
 - **inline** — shards run sequentially in the calling process.  The fallback
   for ``n_shards=1``, for tests, and for platforms without ``fork``
   (Windows/macOS-spawn).  On one core it buys nothing over the single
   engine, which merges its sources per component as well.
 
-Two feed strategies, orthogonal to the mode:
+Two feeds, orthogonal to the mode:
 
-- **local** — the :class:`SourceRouter` splits the source list by entry
-  channel up front; each shard iterates its own sources.  No per-event
-  serialization.  The default whenever sources are statically routable
-  (with entry-channel components they always are).
+- **local** — each fragment drains its own share of the driver's sources.
+  No per-event serialization.  The default.
 - **router** — the coordinating process consumes the timestamp-ordered merge
-  (per component), encodes each run with the :mod:`~repro.shard.wire` format
-  and streams it to the owning shard (via queues in process mode).  This is
-  the path live feeds use and the one that exercises the wire protocol, at
-  the cost of coordinator-side work per run.
+  (per component), packs each run into columns and streams it to the owning
+  shard: over raw pipes and shared-memory rings in process mode, straight
+  into the decoder inline.  This is the path live feeds use and the one
+  that exercises the wire protocol, at the cost of coordinator-side work
+  per run.  Fragments without relay edges consume runs as they arrive;
+  fragments with relay edges buffer theirs until the stop frame, because
+  relay ordering needs the whole upstream feed.
 """
 
 from __future__ import annotations
@@ -63,7 +71,6 @@ from repro.shard.ring import RingBuffer
 from repro.shard.stats import ShardedRunStats
 from repro.shard.wire import (
     RING,
-    SCHEMA,
     STOP,
     STOP_FRAME,
     RelayCodec,
@@ -110,76 +117,15 @@ class SourceRouter:
             split[self.shard_of_channel(source.channel.channel_id)].append(source)
         return split
 
-    def split_routable(
-        self, sources: Sequence[StreamSource]
-    ) -> tuple[list[StreamSource], list[StreamSource]]:
-        """Split into (consumed-channel sources, unconsumed-channel sources).
-
-        The wire feed only ships runs for channels some shard's decoder
-        knows; events on channels no m-op consumes cannot produce outputs,
-        but the single engine still *counts* them, so the caller must count
-        the second list locally to keep aggregate accounting identical.
-        """
-        routable: list[StreamSource] = []
-        unrouted: list[StreamSource] = []
-        for source in sources:
-            if source.channel.channel_id in self.channel_shard:
-                routable.append(source)
-            else:
-                unrouted.append(source)
-        return routable, unrouted
-
-    def feed_frames(
-        self, sources: Sequence[StreamSource], max_batch: int,
-        columnar: bool = False, encoder: Optional[WireEncoder] = None,
-    ):
-        """Yield ``(shard, frame)`` pairs for the merged run stream.
-
-        Schema frames are replicated to every shard (interning state is
-        per-encoder, shared across shards; a shard may receive a schema
-        frame it never uses — harmless).  Run frames go only to the owning
-        shard.
-
-        ``columnar`` packs each run into a ``crun`` frame when its rows
-        share one schema (columnar-native runs pass through untouched);
-        unpackable runs fall back to the pickle ``run`` frame, so the two
-        planes interleave freely on one feed.  Callers feeding several
-        source groups through one wire pass a shared ``encoder`` so schema
-        tokens stay unique across the calls.
-        """
-        if encoder is None:
-            encoder = WireEncoder()
-        for channel, batch in merge_source_runs(sources, max_batch):
-            shard = self.shard_of_channel(channel.channel_id)
-            if columnar:
-                packed = (
-                    batch
-                    if type(batch) is ColumnBatch
-                    else ColumnBatch.from_channel_tuples(batch)
-                )
-                frames = (
-                    encoder.encode_run_columns(channel, packed)
-                    if packed is not None
-                    else encoder.encode_run(channel, batch)
-                )
-            else:
-                if type(batch) is ColumnBatch:
-                    batch = batch.channel_tuples()
-                frames = encoder.encode_run(channel, batch)
-            for frame in frames:
-                if frame[0] == SCHEMA:
-                    for index in range(self.n_shards):
-                        yield index, frame
-                else:
-                    yield shard, frame
-
 
 def _count_source_events(source: StreamSource) -> RunStats:
-    """Input accounting for a source nothing consumes (no outputs possible)."""
+    """Input accounting for a source nothing consumes (no outputs possible):
+    what the single engine counts when it dispatches such events."""
     stats = RunStats()
     for __channel, channel_tuple in source:
         stats.input_events += channel_tuple.membership.bit_count()
         stats.physical_input_events += 1
+        stats.physical_events += 1
     return stats
 
 
@@ -220,112 +166,68 @@ def _send_frame(sender, frame) -> None:
         pass
 
 
-def _run_local(
-    shards, engines, source_lists, results, ready=None
-) -> None:
-    """Worker body, local feed: drain each hosted shard's own sources.
+class _RoutedRuns:
+    """Where router-fed runs land on one host (a worker, or the inline loop).
 
-    One worker process may host several shard engines (see
-    :meth:`ShardedEngine._worker_slots`); it drains them sequentially and
-    reports every shard's result in a single message.
+    Runs for a fragment with relay edges buffer per fragment, in feed
+    order, for :func:`_execute_fragments`; every other run dispatches
+    straight into the engine owning its channel.
     """
-    try:
-        _warm_numeric_kernels()
-        _await_ready(ready)
-        payload = []
-        for shard, engine, sources in zip(shards, engines, source_lists):
-            stats = engine.run(sources)
-            payload.append(
-                (shard, stats, engine.captured, engine.mop_stats())
-            )
-        results.send(("ok", payload))
-    except BaseException:  # noqa: BLE001 - must cross the process boundary
-        results.send(("error", traceback.format_exc()))
 
-
-def _run_routed(
-    shards, engines, frames, results, ready=None, ring=None
-) -> None:
-    """Worker body, router feed: decode wire frames until the stop frame.
-
-    Frames arrive on a dedicated pipe (``frames`` is the receive end).
-    Columnar-plane frames come two ways: ``crun`` frames decode like any
-    frame, and ``ring`` markers announce one packed record in the
-    shared-memory ring (the marker's pipe position is the ordering edge,
-    so ring records interleave exactly with pipe frames).  A worker may
-    host several shard engines; each decoded run dispatches to the engine
-    owning its entry channel (shards share no channels, so the mapping is
-    a disjoint union).
-    """
-    try:
-        channel_engine: dict[int, int] = {}
-        channels = []
-        for local, engine in enumerate(engines):
-            for channel in engine.plan.channels():
-                channel_engine[channel.channel_id] = local
-                channels.append(channel)
-        decoder = WireDecoder(channels)
-        stats = [RunStats() for __ in engines]
-        _warm_numeric_kernels()
-        _await_ready(ready)
-        while True:
-            frame = frames.recv()
-            kind = frame[0]
-            if kind == STOP:
-                break
-            if kind == RING:
-                channel, batch = decoder.decode_ring(ring.read(frame[1]))
-                local = channel_engine[channel.channel_id]
-                stats[local].absorb(
-                    engines[local].process_columns(channel, batch)
-                )
-                continue
-            decoded = decoder.decode(frame)
-            if decoded is not None:
-                channel, batch = decoded
-                local = channel_engine[channel.channel_id]
-                if type(batch) is ColumnBatch:
-                    stats[local].absorb(
-                        engines[local].process_columns(channel, batch)
-                    )
-                else:
-                    stats[local].absorb(
-                        engines[local].process_batch(channel, batch)
-                    )
-        payload = [
-            (
-                shard,
-                stats[local],
-                engines[local].captured,
-                engines[local].mop_stats(),
-            )
-            for local, shard in enumerate(shards)
+    def __init__(self, descriptors, engine_of_shard, per_shard_stats):
+        #: The hosted fragments that wait for the stop frame, rank order.
+        self.relayed = [
+            descriptor
+            for descriptor in descriptors
+            if descriptor["in_edges"] or descriptor["out_edges"]
         ]
-        results.send(("ok", payload))
-    except BaseException:  # noqa: BLE001 - must cross the process boundary
-        results.send(("error", traceback.format_exc()))
+        #: component -> buffered ``(channel, batch)`` runs.
+        self.buffered = {
+            descriptor["component"]: [] for descriptor in self.relayed
+        }
+        self._buffer_of = {
+            channel_id: self.buffered[descriptor["component"]]
+            for descriptor in self.relayed
+            for channel_id in descriptor["entry_channels"]
+        }
+        #: Every channel a decoder on this host must know.
+        self.channels: list = []
+        self._target_of: dict = {}
+        for shard, engine in engine_of_shard.items():
+            for channel in engine.plan.channels():
+                self.channels.append(channel)
+                self._target_of[channel.channel_id] = (
+                    engine, per_shard_stats[shard]
+                )
+
+    def accept(self, channel, batch) -> None:
+        buffer = self._buffer_of.get(channel.channel_id)
+        if buffer is not None:
+            buffer.append((channel, batch))
+            return
+        engine, stats = self._target_of[channel.channel_id]
+        if type(batch) is ColumnBatch:
+            stats.absorb(engine.process_columns(channel, batch))
+        else:
+            stats.absorb(engine.process_batch(channel, batch))
 
 
 def _execute_fragments(
-    schedule,
-    hosted,
+    descriptors,
     engine_of_shard,
-    columnar,
     slot_of_shard,
     slot_index,
     relay_queues,
-    buffered_locals,
+    buffered,
     per_shard_stats,
 ) -> None:
-    """Run the hosted fragments of a split plan in global topological order.
+    """Run fragments of the schedule in global topological order.
 
-    The shared core of every relay execution path (inline and both
-    process-mode worker bodies).  ``hosted`` is the set of shard indexes
-    this caller owns; fragments on other shards are skipped — but their
-    *rank* still matters: executing hosted fragments in ascending global
-    component index guarantees a fragment only ever waits on relay frames
-    from a strictly lower-rank fragment, which some worker is already
-    draining (deadlock-freedom by rank induction).
+    The drain core of every mode and feed.  ``descriptors`` are the
+    caller's fragments to run, in ascending global rank: executing them in
+    that order guarantees a fragment only ever waits on relay frames from a
+    strictly lower-rank fragment, which some worker is already draining
+    (deadlock-freedom by rank induction).
 
     Relay edges route three ways:
 
@@ -336,39 +238,33 @@ def _execute_fragments(
     - consumer elsewhere — the engine's relay tap ships frames straight to
       the consumer slot's queue mid-dispatch.
 
-    ``buffered_locals`` is ``None`` for local feeds (each fragment drains
-    its own driver sources, merge-ordered by ``source_order``) or a
-    ``component -> [(channel, batch), ...]`` map for router feeds whose
-    runs already crossed the wire (merged order, ``entry_order``).
+    ``buffered`` is ``None`` for the local feed (each fragment drains its
+    own driver sources, merge-ordered by ``source_order``) or a
+    ``component -> [(channel, batch), ...]`` map for router-fed runs that
+    already crossed the wire (merged order, ``entry_order``).
 
     Relayed tuples are deducted from the consuming fragment's stats
     (:func:`deduct_relay_inputs`), so ``per_shard_stats`` aggregates to
     exactly the single-engine accounting.
     """
-    stream_codecs: dict[int, RelayCodec] = {}
-    for descriptor in schedule:
-        if descriptor["shard"] not in hosted:
-            continue
-        for edge in descriptor["in_edges"]:
-            if slot_of_shard[edge.from_shard] != slot_index:
-                stream_codecs[edge.edge_id] = RelayCodec(
-                    edge.edge_id, edge.channel, columnar=columnar
-                )
+    stream_codecs: dict[int, RelayCodec] = {
+        edge.edge_id: RelayCodec(edge.edge_id, edge.channel)
+        for descriptor in descriptors
+        for edge in descriptor["in_edges"]
+        if slot_of_shard[edge.from_shard] != slot_index
+    }
     inbox = (
         RelayInbox(relay_queues[slot_index], stream_codecs)
         if stream_codecs
         else None
     )
     local_frames: dict[int, list] = {}
-    for descriptor in schedule:
-        if descriptor["shard"] not in hosted:
-            continue
-        shard = descriptor["shard"]
-        engine = engine_of_shard[shard]
+    for descriptor in descriptors:
+        engine = engine_of_shard[descriptor["shard"]]
         edge_of = {edge.edge_id: edge for edge in descriptor["in_edges"]}
         order = (
             descriptor["source_order"]
-            if buffered_locals is None
+            if buffered is None
             else descriptor["entry_order"]
         )
         run_sources: list = []
@@ -378,9 +274,7 @@ def _execute_fragments(
                 run_sources.append(descriptor["local_sources"][ref])
             elif kind == "local":
                 run_sources.append(
-                    BufferedRunSource(
-                        buffered_locals.get(descriptor["component"], [])
-                    )
+                    BufferedRunSource(buffered[descriptor["component"]])
                 )
             else:
                 edge = edge_of[ref]
@@ -389,12 +283,10 @@ def _execute_fragments(
                         edge.channel, edge.edge_id, inbox
                     )
                 else:
-                    codec = RelayCodec(
-                        edge.edge_id, edge.channel, columnar=columnar
-                    )
                     source = BufferedRunSource(
                         decode_local_frames(
-                            local_frames.pop(edge.edge_id), codec
+                            local_frames.pop(edge.edge_id),
+                            RelayCodec(edge.edge_id, edge.channel),
                         ),
                         channel=edge.channel,
                     )
@@ -408,130 +300,69 @@ def _execute_fragments(
                 if target_slot == slot_index
                 else relay_queues[target_slot]
             )
-            outbox = RelayOutbox(edge.edge_id, edge.channel, sink, columnar)
+            outbox = RelayOutbox(edge.edge_id, edge.channel, sink)
             engine.install_relay_tap(edge.channel, on_run=outbox.ship)
             outboxes.append((edge, outbox))
         stats = engine.run(run_sources) if run_sources else RunStats()
         for source in relay_sources:
             deduct_relay_inputs(stats, source.delivered)
-        per_shard_stats[shard].absorb(stats)
+        per_shard_stats[descriptor["shard"]].absorb(stats)
         for edge, outbox in outboxes:
             outbox.finish()
             engine.remove_relay_tap(edge.channel.channel_id)
 
 
-def _run_local_fragments(
+def _drain_worker(
     shards,
     engine_of_shard,
     schedule,
     slot_of_shard,
     slot_index,
     relay_queues,
-    columnar,
-    leftover_lists,
-    results,
-    ready=None,
-) -> None:
-    """Worker body, local feed over a split plan (relay edges present)."""
-    try:
-        _warm_numeric_kernels()
-        per_shard_stats = {shard: RunStats() for shard in shards}
-        _await_ready(ready)
-        _execute_fragments(
-            schedule, set(shards), engine_of_shard, columnar,
-            slot_of_shard, slot_index, relay_queues, None, per_shard_stats,
-        )
-        for shard, extra in zip(shards, leftover_lists):
-            if extra:
-                per_shard_stats[shard].absorb(
-                    engine_of_shard[shard].run(extra)
-                )
-        payload = [
-            (
-                shard,
-                per_shard_stats[shard],
-                engine_of_shard[shard].captured,
-                engine_of_shard[shard].mop_stats(),
-            )
-            for shard in shards
-        ]
-        results.send(("ok", payload))
-    except BaseException:  # noqa: BLE001 - must cross the process boundary
-        results.send(("error", traceback.format_exc()))
-
-
-def _run_routed_fragments(
-    shards,
-    engine_of_shard,
-    schedule,
-    slot_of_shard,
-    slot_index,
-    relay_queues,
-    columnar,
     frames,
+    ring,
     results,
     ready=None,
-    ring=None,
 ) -> None:
-    """Worker body, router feed over a split plan (relay edges present).
+    """Worker body: drain the hosted shards' fragments, report once.
 
-    Wire frames for a hosted fragment's entry channels buffer per fragment
-    until the stop frame (the merged order is preserved verbatim; relay
-    ordering needs the whole upstream feed anyway).  Frames for hosted
-    channels outside every fragment — pass-through queries, unconsumed
-    channels with a sink — process immediately, exactly like the no-relay
-    worker.  After the stop frame the buffered fragments execute through
-    :func:`_execute_fragments`; the coordinator broadcasts stop before any
-    worker starts its fragments, so cross-worker relay waits are safe.
+    ``frames`` is ``None`` for the local feed.  For the router feed it is
+    the receive end of this worker's feed pipe: frames decode until the
+    stop frame — ``ring`` markers announce one packed record in the
+    worker's shared-memory ring (the marker's pipe position is the ordering
+    edge, so ring records interleave exactly with pipe frames) — and the
+    relay fragments run after it.  The coordinator broadcasts stop before
+    any worker starts its relay fragments, so cross-worker relay waits are
+    safe.  Every hosted shard's result travels in a single message.
     """
     try:
-        hosted = set(shards)
-        channel_owner: dict[int, int] = {}
-        channels = []
-        for shard in shards:
-            for channel in engine_of_shard[shard].plan.channels():
-                channel_owner[channel.channel_id] = shard
-                channels.append(channel)
-        fragment_of_channel: dict[int, int] = {}
-        for descriptor in schedule:
-            if descriptor["shard"] in hosted:
-                for channel_id in descriptor["entry_channels"]:
-                    fragment_of_channel[channel_id] = descriptor["component"]
-        decoder = WireDecoder(channels)
-        buffered: dict[int, list] = {}
         per_shard_stats = {shard: RunStats() for shard in shards}
+        hosted = [
+            descriptor
+            for descriptor in schedule
+            if descriptor["shard"] in per_shard_stats
+        ]
+        buffered = None
+        if frames is not None:
+            routed = _RoutedRuns(hosted, engine_of_shard, per_shard_stats)
+            decoder = WireDecoder(routed.channels)
+            hosted, buffered = routed.relayed, routed.buffered
         _warm_numeric_kernels()
         _await_ready(ready)
-        while True:
+        while frames is not None:
             frame = frames.recv()
             kind = frame[0]
             if kind == STOP:
                 break
             if kind == RING:
-                channel, batch = decoder.decode_ring(ring.read(frame[1]))
-            else:
-                decoded = decoder.decode(frame)
-                if decoded is None:
-                    continue
-                channel, batch = decoded
-            fragment = fragment_of_channel.get(channel.channel_id)
-            if fragment is not None:
-                buffered.setdefault(fragment, []).append((channel, batch))
+                routed.accept(*decoder.decode_ring(ring.read(frame[1])))
                 continue
-            shard = channel_owner[channel.channel_id]
-            engine = engine_of_shard[shard]
-            if type(batch) is ColumnBatch:
-                per_shard_stats[shard].absorb(
-                    engine.process_columns(channel, batch)
-                )
-            else:
-                per_shard_stats[shard].absorb(
-                    engine.process_batch(channel, batch)
-                )
+            decoded = decoder.decode(frame)
+            if decoded is not None:
+                routed.accept(*decoded)
         _execute_fragments(
-            schedule, hosted, engine_of_shard, columnar,
-            slot_of_shard, slot_index, relay_queues, buffered,
-            per_shard_stats,
+            hosted, engine_of_shard, slot_of_shard, slot_index,
+            relay_queues, buffered, per_shard_stats,
         )
         payload = [
             (
@@ -569,16 +400,13 @@ class ShardedEngine:
             raise PlanError(f"unknown feed strategy {feed!r}")
         if parallel not in ("auto", True, False):
             raise PlanError(f"parallel must be 'auto', True or False")
-        if data_plane not in ("columnar", "pickle"):
+        # Accepted for existing call sites; columns are the only data plane
+        # (runs that cannot pack fall back to the pickle wire per run).
+        if data_plane != "columnar":
             raise PlanError(
-                f"data_plane must be 'columnar' or 'pickle', "
+                f"data_plane must be 'columnar' (the only data plane), "
                 f"got {data_plane!r}"
             )
-        #: Router-feed transport: ``"columnar"`` packs runs into schema-
-        #: interned columns (shared-memory rings in process mode, ``crun``
-        #: frames inline), ``"pickle"`` keeps the legacy per-tuple wire.
-        #: Unpackable runs fall back per run; outputs are identical.
-        self.data_plane = data_plane
         #: ``split=False`` forces whole-component placement (the pre-relay
         #: behavior); the bench uses it as the unsplit baseline.
         self.shard_plan: ShardPlan = (planner or ShardPlanner()).partition(
@@ -632,35 +460,20 @@ class ShardedEngine:
     def _resolve_feed(self) -> str:
         return "local" if self.feed in ("auto", "local") else "router"
 
-    def _component_groups(self, routable):
-        """Group routable sources by consuming plan component
-        (:func:`~repro.streams.sources.group_sources` over the shard plan's
-        entry channels): components share no m-ops and no state, so only
-        sources feeding the same one need tuple-level interleaving, and a
-        single-source component ships full-length runs.  Groups come in
-        first-source order, not component-index order."""
-        # Routable channels outside every component are pass-through sinks
-        # (a query marked output on a source): their order is observable, so
-        # they merge conservatively in one tuple-level group.
-        component_of = dict.fromkeys(self.shard_plan.channel_shard, -1)
-        for component in self.shard_plan.components:
-            for channel_id in component.entry_channel_ids:
-                component_of[channel_id] = component.index
-        return group_sources(routable, component_of)
-
     # -- running ---------------------------------------------------------------------
 
     def run(self, sources: Sequence[StreamSource]) -> ShardedRunStats:
         """Drain ``sources`` through the shards; returns merged statistics.
 
-        Source events are routed by entry channel — each shard sees exactly
-        the (timestamp-ordered) subsequence on its own channels, so per-query
-        outputs are byte-identical to the single-engine run over the same
-        sources.
+        Source events are routed by entry channel — each component sees
+        exactly the (timestamp-ordered) subsequence on its own channels, so
+        per-query outputs are byte-identical to the single-engine run over
+        the same sources.
         """
         mode = self._resolve_mode()
         feed = self._resolve_feed()
         started = time.perf_counter()
+        schedule, leftover = build_fragment_schedule(self.shard_plan, sources)
         spawn = 0.0
         if mode == "process":
             # Worker lifecycle (fork + ready handshake before, join +
@@ -669,139 +482,99 @@ class ShardedEngine:
             # workers persist across runs — would see.  The drain ends when
             # the coordinator holds every shard's result.
             per_shard, captured, spawn, drained = self._run_process(
-                sources, feed
+                sources, schedule, feed
             )
             wall = drained - started - spawn
         else:
-            per_shard, captured = self._run_inline(sources, feed)
+            per_shard, captured = self._run_inline(sources, schedule, feed)
             wall = time.perf_counter() - started
+        # Events on channels no component reads cannot produce outputs, but
+        # the single engine counts them: account them on their home shard.
+        for source in leftover:
+            shard = self.router.shard_of_channel(source.channel.channel_id)
+            per_shard[shard].absorb(_count_source_events(source))
         self.captured = captured
         return ShardedRunStats(
             per_shard=per_shard, wall_seconds=wall, mode=mode,
             spawn_seconds=spawn,
         )
 
+    def _routed_frames(self, sources, rings=None, slot_of_shard=None):
+        """Yield ``(shard, frame)`` for the merged run stream of ``sources``.
+
+        Sources merge per plan component (components share no state, so
+        only sources feeding the same one need tuple-level interleaving,
+        and a single-source component ships full-length runs); sources on
+        channels no component reads are skipped.  ``shard`` is ``None`` for
+        schema frames, which every host's decoder needs.  Each run packs
+        once into columns — a ``crun`` frame, or, given the workers'
+        ``rings``, a record in the owning worker's ring announced by a
+        ``ring`` marker (the ``crun`` frame stays the full-ring fallback).
+        A run that cannot pack (mixed schema objects, an oversized mask)
+        ships as the pickle ``run`` frame.
+        """
+        component_of = {
+            channel_id: component.index
+            for component in self.shard_plan.components
+            for channel_id in component.entry_channel_ids
+        }
+        routable = [
+            source
+            for source in sources
+            if source.channel.channel_id in component_of
+        ]
+        encoder = WireEncoder()
+        for group in group_sources(routable, component_of):
+            for channel, batch in merge_source_runs(group, self.max_batch):
+                shard = self.router.shard_of_channel(channel.channel_id)
+                packed = (
+                    batch
+                    if type(batch) is ColumnBatch
+                    else ColumnBatch.from_channel_tuples(batch)
+                )
+                if packed is None:
+                    *schemas, run = encoder.encode_run(channel, batch)
+                else:
+                    *schemas, run = encoder.encode_run_columns(channel, packed)
+                    if rings is not None:
+                        parts, total = pack_run_record(
+                            channel.channel_id, run[2], packed
+                        )
+                        if rings[slot_of_shard[shard]].try_write(parts, total):
+                            run = (RING, total)
+                for frame in schemas:
+                    yield None, frame
+                yield shard, run
+
     # -- inline ----------------------------------------------------------------------
 
-    def _run_inline(self, sources, feed):
-        if self.shard_plan.relays:
-            return self._run_inline_fragments(sources, feed)
-        per_shard: list[RunStats]
-        if feed == "local":
-            split = self.router.split_sources(sources)
-            per_shard = [
-                engine.run(shard_sources)
-                for engine, shard_sources in zip(self.engines, split)
-            ]
-        else:
-            per_shard = [RunStats() for __ in self.engines]
-            decoders = [
-                WireDecoder(engine.plan.channels()) for engine in self.engines
-            ]
-            routable, unrouted = self.router.split_routable(sources)
-            encoder = WireEncoder()
-            for group in self._component_groups(routable):
-                for shard, frame in self.router.feed_frames(
-                    group, self.max_batch,
-                    columnar=self.data_plane == "columnar",
-                    encoder=encoder,
-                ):
-                    decoded = decoders[shard].decode(frame)
-                    if decoded is None:
-                        continue
-                    channel, batch = decoded
-                    if type(batch) is ColumnBatch:
-                        per_shard[shard].absorb(
-                            self.engines[shard].process_columns(
-                                channel, batch
-                            )
-                        )
-                    else:
-                        per_shard[shard].absorb(
-                            self.engines[shard].process_batch(channel, batch)
-                        )
-            self._absorb_unrouted(per_shard, unrouted)
-        captured = {}
-        for engine in self.engines:
-            captured.update(engine.captured)
-        self.shard_mop_stats = [engine.mop_stats() for engine in self.engines]
-        return per_shard, captured
+    def _run_inline(self, sources, schedule, feed):
+        """Every fragment in this process, as one worker hosting all shards.
 
-    def _run_inline_fragments(self, sources, feed):
-        """Inline execution when the plan has relay edges (split components).
-
-        All fragments run in this process, in topological order, through
-        the same :func:`_execute_fragments` core as process-mode workers —
-        every relay edge still round-trips its runs through the
-        :class:`~repro.shard.wire.RelayCodec`, so the inline path exercises
-        the relay wire format byte-for-byte.  Router feeds additionally
-        round-trip each fragment's own sources through the source wire
-        first, exactly like the no-relay router path.
+        The router feed still round-trips every run through the wire
+        encoder and decoder, and relay edges through the
+        :class:`~repro.shard.wire.RelayCodec`, byte-for-byte.
         """
-        schedule, leftover = build_fragment_schedule(self.shard_plan, sources)
-        columnar = self.data_plane == "columnar"
         engine_of_shard = dict(enumerate(self.engines))
-        slot_of_shard = {shard: 0 for shard in engine_of_shard}
         per_shard_stats = {shard: RunStats() for shard in engine_of_shard}
-        buffered_locals = None
+        buffered = None
         if feed == "router":
-            decoders = [
-                WireDecoder(engine.plan.channels()) for engine in self.engines
-            ]
-            encoder = WireEncoder()
-            buffered_locals = {}
-            for descriptor in schedule:
-                if not descriptor["local_sources"]:
-                    continue
-                runs: list = []
-                for shard, frame in self.router.feed_frames(
-                    descriptor["local_sources"], self.max_batch,
-                    columnar=columnar, encoder=encoder,
-                ):
-                    decoded = decoders[shard].decode(frame)
-                    if decoded is not None:
-                        runs.append(decoded)
-                buffered_locals[descriptor["component"]] = runs
+            routed = _RoutedRuns(schedule, engine_of_shard, per_shard_stats)
+            decoder = WireDecoder(routed.channels)
+            for __, frame in self._routed_frames(sources):
+                decoded = decoder.decode(frame)
+                if decoded is not None:
+                    routed.accept(*decoded)
+            schedule, buffered = routed.relayed, routed.buffered
         _execute_fragments(
-            schedule, set(engine_of_shard), engine_of_shard, columnar,
-            slot_of_shard, 0, [None], buffered_locals, per_shard_stats,
+            schedule, engine_of_shard, dict.fromkeys(engine_of_shard, 0), 0,
+            [None], buffered, per_shard_stats,
         )
-        if feed == "local":
-            for shard, group in enumerate(self.router.split_sources(leftover)):
-                if group:
-                    per_shard_stats[shard].absorb(
-                        self.engines[shard].run(group)
-                    )
-        else:
-            routable, unrouted = self.router.split_routable(leftover)
-            for group in self._component_groups(routable):
-                for shard, frame in self.router.feed_frames(
-                    group, self.max_batch, columnar=columnar, encoder=encoder,
-                ):
-                    decoded = decoders[shard].decode(frame)
-                    if decoded is None:
-                        continue
-                    channel, batch = decoded
-                    if type(batch) is ColumnBatch:
-                        per_shard_stats[shard].absorb(
-                            self.engines[shard].process_columns(channel, batch)
-                        )
-                    else:
-                        per_shard_stats[shard].absorb(
-                            self.engines[shard].process_batch(channel, batch)
-                        )
-            per_shard_list = [
-                per_shard_stats[shard] for shard in range(len(self.engines))
-            ]
-            self._absorb_unrouted(per_shard_list, unrouted)
-        per_shard = [
-            per_shard_stats[shard] for shard in range(len(self.engines))
-        ]
         captured = {}
         for engine in self.engines:
             captured.update(engine.captured)
         self.shard_mop_stats = [engine.mop_stats() for engine in self.engines]
-        return per_shard, captured
+        return [per_shard_stats[shard] for shard in engine_of_shard], captured
 
     # -- process workers -------------------------------------------------------------
 
@@ -822,103 +595,88 @@ class ShardedEngine:
             slots[shard % slot_count].append(shard)
         return slots
 
-    def _run_process(self, sources, feed):
-        if self.shard_plan.relays:
-            return self._run_process_fragments(sources, feed)
+    def _run_process(self, sources, schedule, feed):
+        """Fork the worker slots, feed them (router), collect the results.
+
+        Results and router frames travel over raw pipes: unlike
+        ``mp.Queue`` there is no feeder thread, so a send lands in the
+        kernel buffer immediately (workers start draining while the pump
+        is still running), result latency is one context switch, and a dead
+        worker surfaces as EOF on its pipe instead of a silent hang.  Relay
+        frames use one ``mp.Queue`` per slot, allocated only when the plan
+        has relay edges: an upstream fragment's tap ships frames to its
+        consumer slot's queue mid-dispatch.
+        """
         context = multiprocessing.get_context("fork")
         slots = self._worker_slots()
-        # One raw pipe per worker for the single result payload.  Unlike
-        # mp.Queue there is no feeder thread: the worker's send completes
-        # synchronously and the coordinator's wait() wakes on the first
-        # ready pipe, so result latency is one context switch, and a dead
-        # worker surfaces as EOF on its pipe instead of a silent hang.
+        slot_of_shard = {
+            shard: slot_index
+            for slot_index, slot in enumerate(slots)
+            for shard in slot
+        }
+        # Queues and rings are allocated before the fork so every worker
+        # inherits them — any fragment can ship to any slot.
+        relay_queues = (
+            [context.Queue() for __ in slots] if self.shard_plan.relays else None
+        )
         result_connections: list = []
+        feed_senders: list = []
+        rings: list = []
         workers: list = []
-        unrouted: list[StreamSource] = []
         # Ready handshake: every worker joins the barrier once it is forked
         # and imported, the coordinator joins last — the time to that point
         # is startup, everything after is drain.
         ready = context.Barrier(len(slots) + 1)
         spawn_started = time.perf_counter()
-        if feed == "local":
-            split = self.router.split_sources(sources)
-            for slot in slots:
-                receiver, sender = context.Pipe(duplex=False)
-                result_connections.append(receiver)
-                worker = context.Process(
-                    target=_run_local,
-                    args=(
-                        slot,
-                        [self.engines[shard] for shard in slot],
-                        [split[shard] for shard in slot],
-                        sender,
-                        ready,
-                    ),
-                )
-                worker.start()
-                # Drop the coordinator's copy of the send end so a worker
-                # death closes the pipe and wait() sees EOF.
-                sender.close()
-                workers.append(worker)
-            _await_ready(ready)
-            spawn = time.perf_counter() - spawn_started
-        else:
-            # Feed frames also travel over raw pipes: a send lands in the
-            # kernel buffer immediately (no mp.Queue feeder thread holding
-            # the GIL), so workers start draining while the pump is still
-            # running.
-            feed_senders: list = []
-            rings: list = []
-            slot_of_shard: dict[int, int] = {}
-            use_rings = self.data_plane == "columnar"
-            routable, unrouted = self.router.split_routable(sources)
-            for slot_index, slot in enumerate(slots):
-                for shard in slot:
-                    slot_of_shard[shard] = slot_index
+        for slot_index, slot in enumerate(slots):
+            frame_receiver = ring = None
+            if feed == "router":
                 frame_receiver, frame_sender = context.Pipe(duplex=False)
                 feed_senders.append(frame_sender)
-                # The ring is allocated before the fork so the worker
-                # inherits the shared arena.
-                ring = RingBuffer() if use_rings else None
+                ring = RingBuffer()
                 rings.append(ring)
-                receiver, sender = context.Pipe(duplex=False)
-                result_connections.append(receiver)
-                worker = context.Process(
-                    target=_run_routed,
-                    args=(
-                        slot,
-                        [self.engines[shard] for shard in slot],
-                        frame_receiver,
-                        sender,
-                        ready,
-                        ring,
-                    ),
-                )
-                worker.start()
-                sender.close()
+            receiver, sender = context.Pipe(duplex=False)
+            result_connections.append(receiver)
+            worker = context.Process(
+                target=_drain_worker,
+                args=(
+                    slot,
+                    {shard: self.engines[shard] for shard in slot},
+                    schedule,
+                    slot_of_shard,
+                    slot_index,
+                    relay_queues,
+                    frame_receiver,
+                    ring,
+                    sender,
+                    ready,
+                ),
+            )
+            worker.start()
+            # Drop the coordinator's copies of the worker-side ends so a
+            # worker death closes the pipes and wait() sees EOF.
+            sender.close()
+            if frame_receiver is not None:
                 frame_receiver.close()
-                workers.append(worker)
-            _await_ready(ready)
-            spawn = time.perf_counter() - spawn_started
-            if use_rings:
-                self._pump_columnar(
-                    routable, feed_senders, rings, slot_of_shard
-                )
-            else:
-                encoder = WireEncoder()
-                for group in self._component_groups(routable):
-                    for shard, frame in self.router.feed_frames(
-                        group, self.max_batch, encoder=encoder
-                    ):
-                        _send_frame(
-                            feed_senders[slot_of_shard[shard]], frame
-                        )
+            workers.append(worker)
+        _await_ready(ready)
+        spawn = time.perf_counter() - spawn_started
+        if feed == "router":
+            for shard, frame in self._routed_frames(
+                sources, rings, slot_of_shard
+            ):
+                if shard is None:
+                    for sender in feed_senders:
+                        _send_frame(sender, frame)
+                else:
+                    _send_frame(feed_senders[slot_of_shard[shard]], frame)
             for sender in feed_senders:
                 _send_frame(sender, STOP_FRAME)
         per_shard, captured, drained = self._collect_worker_results(
             slots, workers, result_connections
         )
-        self._absorb_unrouted(per_shard, unrouted)
+        for queue in relay_queues or ():
+            queue.close()
         return per_shard, captured, spawn, drained
 
     def _collect_worker_results(self, slots, workers, result_connections):
@@ -981,180 +739,6 @@ class ShardedEngine:
                 "sharded run failed in worker(s):\n" + "\n".join(failures)
             )
         return per_shard, captured, drained
-
-    def _run_process_fragments(self, sources, feed):
-        """Process execution when the plan has relay edges (split components).
-
-        Same worker topology as the no-relay path, plus one ``mp.Queue``
-        per worker slot for inbound relay frames: an upstream fragment's
-        tap ships frames to its consumer slot's queue mid-dispatch, and
-        the consumer's :class:`~repro.shard.relay.RelayInbox` demuxes them
-        per edge.  Workers drain their hosted fragments in ascending global
-        topological rank, so cross-worker waits always resolve (see
-        :func:`_execute_fragments`).
-        """
-        context = multiprocessing.get_context("fork")
-        slots = self._worker_slots()
-        slot_of_shard = {
-            shard: slot_index
-            for slot_index, slot in enumerate(slots)
-            for shard in slot
-        }
-        schedule, leftover = build_fragment_schedule(self.shard_plan, sources)
-        columnar = self.data_plane == "columnar"
-        # Allocated before the fork so every worker inherits every queue —
-        # any fragment can ship to any slot.
-        relay_queues = [context.Queue() for __ in slots]
-        result_connections: list = []
-        workers: list = []
-        unrouted: list[StreamSource] = []
-        ready = context.Barrier(len(slots) + 1)
-        spawn_started = time.perf_counter()
-        if feed == "local":
-            leftover_split = self.router.split_sources(leftover)
-            for slot_index, slot in enumerate(slots):
-                receiver, sender = context.Pipe(duplex=False)
-                result_connections.append(receiver)
-                worker = context.Process(
-                    target=_run_local_fragments,
-                    args=(
-                        slot,
-                        {shard: self.engines[shard] for shard in slot},
-                        schedule,
-                        slot_of_shard,
-                        slot_index,
-                        relay_queues,
-                        columnar,
-                        [leftover_split[shard] for shard in slot],
-                        sender,
-                        ready,
-                    ),
-                )
-                worker.start()
-                sender.close()
-                workers.append(worker)
-            _await_ready(ready)
-            spawn = time.perf_counter() - spawn_started
-        else:
-            feed_senders: list = []
-            rings: list = []
-            use_rings = columnar
-            routable, unrouted = self.router.split_routable(sources)
-            for slot_index, slot in enumerate(slots):
-                frame_receiver, frame_sender = context.Pipe(duplex=False)
-                feed_senders.append(frame_sender)
-                ring = RingBuffer() if use_rings else None
-                rings.append(ring)
-                receiver, sender = context.Pipe(duplex=False)
-                result_connections.append(receiver)
-                worker = context.Process(
-                    target=_run_routed_fragments,
-                    args=(
-                        slot,
-                        {shard: self.engines[shard] for shard in slot},
-                        schedule,
-                        slot_of_shard,
-                        slot_index,
-                        relay_queues,
-                        columnar,
-                        frame_receiver,
-                        sender,
-                        ready,
-                        ring,
-                    ),
-                )
-                worker.start()
-                sender.close()
-                frame_receiver.close()
-                workers.append(worker)
-            _await_ready(ready)
-            spawn = time.perf_counter() - spawn_started
-            if use_rings:
-                self._pump_columnar(
-                    routable, feed_senders, rings, slot_of_shard
-                )
-            else:
-                encoder = WireEncoder()
-                for group in self._component_groups(routable):
-                    for shard, frame in self.router.feed_frames(
-                        group, self.max_batch, encoder=encoder
-                    ):
-                        _send_frame(
-                            feed_senders[slot_of_shard[shard]], frame
-                        )
-            for sender in feed_senders:
-                _send_frame(sender, STOP_FRAME)
-        per_shard, captured, drained = self._collect_worker_results(
-            slots, workers, result_connections
-        )
-        for queue in relay_queues:
-            queue.close()
-        self._absorb_unrouted(per_shard, unrouted)
-        return per_shard, captured, spawn, drained
-
-    def _pump_columnar(
-        self, routable, feed_senders, rings, slot_of_shard
-    ) -> None:
-        """Feed the merged run stream over the zero-copy columnar plane.
-
-        Each packable run is packed once; the ring of the worker hosting
-        the owning shard gets the raw record (one copy in, announced by a
-        ``ring`` marker on its ordered feed pipe), with a ``crun`` pipe
-        frame as the full-ring / oversized-record fallback and the pickle
-        wire for unpackable runs.  Schema frames broadcast to every
-        worker, exactly like :meth:`SourceRouter.feed_frames`.  Sources
-        merge per plan component (:meth:`_component_groups`), so
-        independent components ship full-length packed runs instead of a
-        per-tuple interleave.
-        """
-        encoder = WireEncoder()
-        for group in self._component_groups(routable):
-            for channel, batch in merge_source_runs(group, self.max_batch):
-                shard = self.router.shard_of_channel(channel.channel_id)
-                slot = slot_of_shard[shard]
-                packed = (
-                    batch
-                    if type(batch) is ColumnBatch
-                    else ColumnBatch.from_channel_tuples(batch)
-                )
-                if packed is None:
-                    for frame in encoder.encode_run(channel, batch):
-                        if frame[0] == SCHEMA:
-                            for sender in feed_senders:
-                                _send_frame(sender, frame)
-                        else:
-                            _send_frame(feed_senders[slot], frame)
-                    continue
-                frames_out = encoder.encode_run_columns(channel, packed)
-                crun = frames_out[-1]
-                for frame in frames_out[:-1]:
-                    for sender in feed_senders:
-                        _send_frame(sender, frame)
-                ring = rings[slot]
-                shipped = False
-                if ring is not None:
-                    parts, total = pack_run_record(
-                        channel.channel_id, crun[2], packed
-                    )
-                    if ring.try_write(parts, total):
-                        _send_frame(feed_senders[slot], (RING, total))
-                        shipped = True
-                if not shipped:
-                    _send_frame(feed_senders[slot], crun)
-
-    def _absorb_unrouted(
-        self, per_shard: list[RunStats], unrouted: list[StreamSource]
-    ) -> None:
-        """Count events on channels no shard consumes (router feed only).
-
-        The single engine counts every source event whether or not anything
-        consumes it; the wire feed cannot ship runs for channels no decoder
-        knows, so their input accounting happens here, attributed to the
-        channel's fallback shard so the aggregate matches exactly.
-        """
-        for source in unrouted:
-            shard = self.router.shard_of_channel(source.channel.channel_id)
-            per_shard[shard].absorb(_count_source_events(source))
 
     # -- introspection ---------------------------------------------------------------
 

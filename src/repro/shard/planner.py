@@ -3,12 +3,15 @@
 The safe unit of parallel placement is the **entry-channel connected
 component**: m-ops are connected iff they touch a common channel — as
 producer and consumer of a derived channel, or as co-consumers of any
-channel, entry (source) channels included.  Within a component, tuples flow
-and m-ops are shared; across components, nothing does.  So a component can
-run on its own engine, fed only its own entry channels, and the union of the
-per-component outputs is byte-identical to the single-engine run (queries
-sharing any m-op necessarily land in the same component, and every channel
-is consumed by exactly one component).
+channel, entry (source) channels included — or one query sinks on both.
+All of a query's sinks, m-op outputs and *pass-through* sinks (a query
+marked output directly on a source) alike, belong to one component: their
+relative order is observable in the query's captured outputs.  Within a
+component, tuples flow and m-ops are shared; across components, nothing
+does.  So a component can run on its own engine, fed only its own entry
+channels, and the union of the per-component outputs is byte-identical to
+the single-engine run (every channel is consumed, and every query
+captured, by exactly one component).
 
 This mirrors how Roy et al. and Kathuria & Sudarshan treat sharing-group
 structure as the unit of work in multi-query optimization — here the sharing
@@ -90,6 +93,9 @@ class ShardComponent:
     #: sub-plan; the runtime feeds them from the producing fragment's relay.
     entry_stream_ids: frozenset[int] = frozenset()
     cost: float = 0.0
+    #: Source streams a query of this component sinks on directly; their
+    #: channels are among :attr:`entry_channel_ids`.
+    passthrough: tuple[StreamDef, ...] = ()
 
     def __repr__(self):
         relay = (
@@ -195,6 +201,8 @@ class _Cut:
     stream: StreamDef
     up_mops: list[MOp]
     down_mops: list[MOp]
+    up_passthrough: list[StreamDef]
+    down_passthrough: list[StreamDef]
     gain: float
     relay_cost: float
     rate: float
@@ -209,9 +217,20 @@ class ShardPlanner:
     # -- components ------------------------------------------------------------------
 
     def components(self, plan: QueryPlan) -> list[ShardComponent]:
-        """Entry-channel connected components, in first-m-op plan order."""
+        """Entry-channel connected components (see the module docstring).
+
+        Members are the m-ops and the pass-through sinks; two members share
+        a component when they touch a common channel or one query sinks on
+        both.  Components holding m-ops come first, in first-m-op plan
+        order; pass-through-only components follow.
+        """
         mops = plan.mops
-        parent = list(range(len(mops)))
+        passthrough = [
+            stream
+            for stream, __ in plan.sink_streams()
+            if plan.producer_instance_of(stream) is None
+        ]
+        parent = list(range(len(mops) + len(passthrough)))
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -224,22 +243,34 @@ class ShardPlanner:
             if ri != rj:
                 parent[max(ri, rj)] = min(ri, rj)
 
-        touches: dict[int, int] = {}  # channel_id -> first m-op index seen
+        touches: dict[int, int] = {}  # channel_id -> first member seen
+
+        def touch(stream: StreamDef, member: int) -> None:
+            channel_id = plan.channel_of(stream).channel_id
+            union(touches.setdefault(channel_id, member), member)
+
         for index, mop in enumerate(mops):
-            for stream in list(mop.input_streams) + list(mop.output_streams):
-                channel_id = plan.channel_of(stream).channel_id
-                first = touches.get(channel_id)
-                if first is None:
-                    touches[channel_id] = index
-                else:
-                    union(first, index)
+            for stream in (*mop.input_streams, *mop.output_streams):
+                touch(stream, index)
+        for offset, stream in enumerate(passthrough):
+            touch(stream, len(mops) + offset)
+        first_sink: dict = {}  # query_id -> member holding its first sink
+        for stream, query_ids in plan.sink_streams():
+            member = touches[plan.channel_of(stream).channel_id]
+            for query_id in query_ids:
+                union(first_sink.setdefault(query_id, member), member)
         grouped: dict[int, list[int]] = {}
-        for index in range(len(mops)):
-            grouped.setdefault(find(index), []).append(index)
+        for member in range(len(parent)):
+            grouped.setdefault(find(member), []).append(member)
         components: list[ShardComponent] = []
         for order, root in enumerate(sorted(grouped)):
-            member_mops = [mops[i] for i in grouped[root]]
-            component = self._make_fragment(plan, member_mops, frozenset())
+            members = grouped[root]
+            component = self._make_fragment(
+                plan,
+                [mops[i] for i in members if i < len(mops)],
+                frozenset(),
+                [passthrough[i - len(mops)] for i in members if i >= len(mops)],
+            )
             component.index = order
             components.append(component)
         return components
@@ -249,28 +280,36 @@ class ShardPlanner:
         plan: QueryPlan,
         mops: list[MOp],
         relay_entries: frozenset[int],
+        passthrough: Sequence[StreamDef] = (),
     ) -> ShardComponent:
-        """Build a component record for ``mops`` (index assigned later)."""
+        """Build a component record for ``mops`` and the pass-through sinks
+        ``passthrough`` (index assigned later)."""
         source_ids = {source.stream_id for source in plan.sources}
-        entry_channels: set[int] = set()
+        entry_channels = {
+            plan.channel_of(stream).channel_id for stream in passthrough
+        }
         query_ids: list = []
         seen_queries: set = set()
         sinks = plan.sinks
+        sink_streams = [
+            stream for mop in mops for stream in mop.output_streams
+        ] + list(passthrough)
         for mop in mops:
             for stream in mop.input_streams:
                 if stream.stream_id in source_ids:
                     entry_channels.add(plan.channel_of(stream).channel_id)
-            for stream in mop.output_streams:
-                for query_id in sinks.get(stream.stream_id, ()):
-                    if query_id not in seen_queries:
-                        seen_queries.add(query_id)
-                        query_ids.append(query_id)
+        for stream in sink_streams:
+            for query_id in sinks.get(stream.stream_id, ()):
+                if query_id not in seen_queries:
+                    seen_queries.add(query_id)
+                    query_ids.append(query_id)
         return ShardComponent(
             index=-1,
             mops=mops,
             query_ids=query_ids,
             entry_channel_ids=frozenset(entry_channels),
             entry_stream_ids=relay_entries,
+            passthrough=tuple(passthrough),
         )
 
     # -- bridge cuts -----------------------------------------------------------------
@@ -309,6 +348,23 @@ class ShardPlanner:
         """
         if len(component.mops) < 2:
             return None
+        # A pass-through sink goes with the m-ops reading its channel; one
+        # joined to the component only through a query has no side to
+        # inherit, so that component stays whole.
+        passthrough_readers: list[tuple[StreamDef, set[int]]] = []
+        for stream in component.passthrough:
+            channel_id = plan.channel_of(stream).channel_id
+            readers = {
+                id(mop)
+                for mop in component.mops
+                if any(
+                    plan.channel_of(read).channel_id == channel_id
+                    for read in mop.input_streams
+                )
+            }
+            if not readers:
+                return None
+            passthrough_readers.append((stream, readers))
         source_ids = {source.stream_id for source in plan.sources}
         channel_members: dict[int, int] = {}
         for stream in plan.streams():
@@ -389,21 +445,29 @@ class ShardPlanner:
                     continue
                 if mixed and not all(self._ts_preserving(m) for m in up_mops):
                     continue
-                query_side: dict = {}
-                separable = True
-                for mop in component.mops:
-                    side = 1 if id(mop) in down else 0
-                    for out in mop.output_streams:
-                        for query_id in sinks.get(out.stream_id, ()):
-                            previous = query_side.setdefault(query_id, side)
-                            if previous != side:
-                                separable = False
-                                break
-                        if not separable:
-                            break
-                    if not separable:
+                sides_of: dict[bool, list[StreamDef]] = {False: [], True: []}
+                for stream, readers in passthrough_readers:
+                    sides = {reader in down for reader in readers}
+                    if len(sides) > 1:
+                        valid = False  # its channel would be homed twice
                         break
-                if not separable:
+                    sides_of[sides.pop()].append(stream)
+                sink_sides = [
+                    (out, id(mop) in down)
+                    for mop in component.mops
+                    for out in mop.output_streams
+                ] + [
+                    (stream, side)
+                    for side, streams in sides_of.items()
+                    for stream in streams
+                ]
+                # A fragment boundary never separates a query's sinks.
+                query_side: dict = {}
+                if not valid or not all(
+                    query_side.setdefault(query_id, side) == side
+                    for stream, side in sink_sides
+                    for query_id in sinks.get(stream.stream_id, ())
+                ):
                     continue
                 cost_up = sum(costs[id(m)] for m in up_mops)
                 cost_down = sum(costs[id(m)] for m in down_mops)
@@ -420,6 +484,8 @@ class ShardPlanner:
                             stream=bridge,
                             up_mops=up_mops,
                             down_mops=down_mops,
+                            up_passthrough=sides_of[False],
+                            down_passthrough=sides_of[True],
                             gain=gain,
                             relay_cost=relay_cost,
                             rate=rate,
@@ -453,10 +519,12 @@ class ShardPlanner:
                 if cut is None:
                     continue
                 up = self._make_fragment(
-                    plan, cut.up_mops, fragment.entry_stream_ids
+                    plan, cut.up_mops, fragment.entry_stream_ids,
+                    cut.up_passthrough,
                 )
                 down = self._make_fragment(
-                    plan, cut.down_mops, frozenset({cut.stream.stream_id})
+                    plan, cut.down_mops, frozenset({cut.stream.stream_id}),
+                    cut.down_passthrough,
                 )
                 up.cost = (
                     sum(costs[id(m)] for m in cut.up_mops) + cut.relay_cost / 2
@@ -615,13 +683,6 @@ class ShardPlanner:
         uses this to measure the unsplit baseline).
         """
         plan.validate()
-        passthrough: list[tuple[StreamDef, list]] = []
-        for stream, query_ids in plan.sink_streams():
-            if plan.producer_instance_of(stream) is None:
-                # A query sinking directly on a source stream belongs to no
-                # component; place it on the shard owning that entry channel
-                # (or the lightest shard if nothing else consumes it).
-                passthrough.append((stream, list(query_ids)))
         components = self.components(plan)
         costs, rates = self.cost_model.attributed_costs(plan)
         for component in components:
@@ -645,6 +706,9 @@ class ShardPlanner:
         for component, subplan in zip(components, subplans):
             target = shard_plans[assignment[component.index]]
             self._merge_subplan(target, subplan)
+        components, assignment, crossing = self._rejoin_colocated(
+            plan, components, assignment, raw_edges
+        )
         shard_costs = [0.0] * n_shards
         channel_shard: dict[int, int] = {}
         query_shard: dict = {}
@@ -661,31 +725,11 @@ class ShardPlanner:
             for mop in component.mops:
                 for stream in mop.output_streams:
                     channel_shard[plan.channel_of(stream).channel_id] = shard
-        for stream, query_ids in passthrough:
-            channel = plan.channel_of(stream)
-            shard = channel_shard.get(channel.channel_id)
-            if shard is None:
-                shard = min(range(n_shards), key=lambda s: (shard_costs[s], s))
-                channel_shard[channel.channel_id] = shard
-            subplan = shard_plans[shard]
-            if all(
-                existing.stream_id != stream.stream_id
-                for existing in subplan.streams()
-            ):
-                subplan.adopt_source(stream, channel)
-            for query_id in query_ids:
-                subplan.mark_output(stream, query_id)
-                query_shard[query_id] = shard
         relays: list[RelayEdge] = []
-        active = [
-            edge
-            for edge in raw_edges
-            if assignment[edge["src"].index] != assignment[edge["dst"].index]
-        ]
-        active.sort(
+        crossing.sort(
             key=lambda e: (e["src"].index, e["dst"].index, e["stream"].stream_id)
         )
-        for edge_id, edge in enumerate(active):
+        for edge_id, edge in enumerate(crossing):
             relays.append(
                 RelayEdge(
                     edge_id=edge_id,
@@ -729,6 +773,77 @@ class ShardPlanner:
         self._adopt_into(subplan, plan, component)
         return subplan
 
+    def _rejoin_colocated(
+        self,
+        plan: QueryPlan,
+        fragments: list[ShardComponent],
+        assignment: list[int],
+        edges: list[dict],
+    ) -> tuple[list[ShardComponent], list[int], list[dict]]:
+        """Contract the cut edges whose two fragments landed on one shard.
+
+        Such fragments reconnect through the shard plan's own wiring and
+        run on one engine, so they are one component again: the unit the
+        runtime merges sources for and schedules.  Cuts only ever split one
+        fragment in two, so the fragments form an out-forest and a
+        contracted unit's lowest index is its root — ordering units by it
+        keeps producers before consumers.  Returns the renumbered units,
+        their shard assignment and the edges still crossing shards.
+        """
+        parent = list(range(len(fragments)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        for edge in edges:
+            src, dst = find(edge["src"].index), find(edge["dst"].index)
+            if assignment[src] == assignment[dst]:
+                parent[max(src, dst)] = min(src, dst)
+        crossing = [
+            edge
+            for edge in edges
+            if assignment[edge["src"].index] != assignment[edge["dst"].index]
+        ]
+        if len(crossing) == len(edges):
+            return fragments, assignment, edges
+        groups: dict[int, list[ShardComponent]] = {}
+        for fragment in fragments:
+            groups.setdefault(find(fragment.index), []).append(fragment)
+        units: list[ShardComponent] = []
+        unit_of: dict[int, ShardComponent] = {}
+        for root in sorted(groups):
+            members = groups[root]
+            unit = members[0]
+            if len(members) > 1:
+                produced = {
+                    stream.stream_id
+                    for member in members
+                    for mop in member.mops
+                    for stream in mop.output_streams
+                }
+                unit = self._make_fragment(
+                    plan,
+                    [mop for member in members for mop in member.mops],
+                    frozenset().union(
+                        *(member.entry_stream_ids for member in members)
+                    )
+                    - produced,
+                    [s for member in members for s in member.passthrough],
+                )
+                unit.cost = sum(member.cost for member in members)
+            for member in members:
+                unit_of[id(member)] = unit
+            units.append(unit)
+        unit_assignment = [assignment[root] for root in sorted(groups)]
+        for index, unit in enumerate(units):
+            unit.index = index
+        for edge in crossing:
+            edge["src"] = unit_of[id(edge["src"])]
+            edge["dst"] = unit_of[id(edge["dst"])]
+        return units, unit_assignment, crossing
+
     def _merge_subplan(self, target: QueryPlan, subplan: QueryPlan) -> None:
         """Merge a single-component view plan into a shard's plan.
 
@@ -737,7 +852,8 @@ class ShardPlanner:
         the producing fragment landed on the same shard and merged first
         (components are merged in topological index order).  In that case
         the entry is skipped and the fragments reconnect through the shard
-        plan's own wiring; the relay edge is dropped by the planner.
+        plan's own wiring; :meth:`_rejoin_colocated` then makes them one
+        component again.
         """
         known = {stream.stream_id for stream in target.streams()}
         for source in subplan.sources:
@@ -772,6 +888,10 @@ class ShardPlanner:
                 if stream.stream_id in entry_ids and stream.stream_id not in seen:
                     seen.add(stream.stream_id)
                     needed_sources.append(stream)
+        for stream in component.passthrough:
+            if stream.stream_id not in seen:
+                seen.add(stream.stream_id)
+                needed_sources.append(stream)
         for stream in needed_sources:
             subplan.adopt_source(stream, plan.channel_of(stream))
         derived = [
@@ -788,7 +908,7 @@ class ShardPlanner:
                 },
                 "sinks": {
                     stream.stream_id: list(sinks[stream.stream_id])
-                    for stream in derived
+                    for stream in (*derived, *component.passthrough)
                     if stream.stream_id in sinks
                 },
             }

@@ -15,10 +15,12 @@ queue (worker → coordinator).  Two traffic classes share the command queue,
 so their relative order — which is what makes lifecycle changes land on
 batch boundaries — is preserved by construction:
 
-- **data frames** (``schema`` / ``run``, the existing wire format) are
-  fire-and-forget: the coordinator encodes each source run once and ships
-  it to every shard whose queries read that stream (schema frames are
-  broadcast to all workers, mirroring :class:`~repro.shard.engine.SourceRouter`);
+- **data frames** (:mod:`~repro.shard.wire`) are fire-and-forget: the
+  coordinator packs each source run once into columns and ships it to
+  every shard whose queries read that stream — a record in the worker's
+  shared-memory ring announced by a ``ring`` marker, a ``crun`` frame when
+  the ring is full, the pickle ``run`` frame for a run that cannot pack
+  (schema frames are broadcast to all workers);
 - **command frames** (``register`` / ``unregister`` / ``reoptimize`` /
   ``rebalance`` / ``stats`` / ``snapshot``) are synchronous RPCs: the
   coordinator blocks for the matching reply before issuing anything else,
@@ -107,7 +109,7 @@ stored checkpoint and the worker ships only the suffixes past them; the
 coordinator splices the deltas onto its cached previous version before
 storing, so the store stays self-contained while the wire carries a
 fraction of the bytes (bounded by a periodic forced full round every
-``full_checkpoint_every`` versions).
+:data:`FULL_CHECKPOINT_EVERY` versions).
 
 The fleet also resizes mid-serve: :meth:`ProcessShardedRuntime.add_worker`
 spawns a fresh shard (ids are sparse and never reused), and
@@ -134,6 +136,7 @@ outputs across random churn schedules with mid-stream rebalances.
 from __future__ import annotations
 
 import functools
+import inspect
 import logging
 import multiprocessing
 import os
@@ -164,7 +167,6 @@ from repro.errors import (
     WorkerUnreachableError,
 )
 from repro.lang.ast import LogicalQuery
-from repro.runtime.config import internal_construction, warn_direct_construction
 from repro.runtime.runtime import QueryRuntime
 from repro.shard.checkpoint import (
     CheckpointStore,
@@ -350,16 +352,48 @@ class _WorkerHandle:
     commands: object
     replies: object
     incarnation: int
-    #: Shared-memory data ring (columnar plane), fork-inherited by the
-    #: worker; None on the pickle plane.  Rides the handle so re-adoption
-    #: hands the live ring to the successor coordinator with the queues.
-    ring: Optional[RingBuffer] = None
+    #: Shared-memory data ring, fork-inherited by the worker.  Rides the
+    #: handle so re-adoption hands the live ring to the successor
+    #: coordinator with the queues.
+    ring: RingBuffer
 
 
 #: Worker-side reply cache size (duplicate commands beyond this window would
 #: require the coordinator to have abandoned >128 in-flight commands, which
 #: the synchronous RPC discipline makes impossible).
 _REPLY_CACHE = 128
+
+#: Differential checkpointing forces a full round every this many versions,
+#: bounding how many splices any restore chain depends on.
+FULL_CHECKPOINT_EVERY = 8
+
+
+def _resume_options(
+    cls, journal: Union[str, CoordinatorLog], options: dict
+) -> tuple[CoordinatorLog, dict]:
+    """Open a prior serve's journal; returns it with the construction
+    options to resume under — the journaled ones ``cls`` still takes (a
+    journal written by an older version may carry retired options),
+    overridden by ``options``."""
+    log = (
+        journal
+        if isinstance(journal, CoordinatorLog)
+        else CoordinatorLog(journal)
+    )
+    if log.is_fresh:
+        raise JournalError(
+            f"no coordinator journal found under {log.path!r}; nothing "
+            f"to resume"
+        )
+    accepted = inspect.signature(cls).parameters
+    merged = {
+        key: value
+        for key, value in log.state.options.items()
+        if key in accepted
+    }
+    merged.update(options)
+    merged.pop("n_shards", None)  # topology comes from the journal
+    return log, merged
 
 
 def _apply_command(runtime: QueryRuntime, kind: str, payload, recorder=None):
@@ -461,9 +495,7 @@ def _apply_command(runtime: QueryRuntime, kind: str, payload, recorder=None):
         alias = payload["alias"]
         start, runs, produced = runtime.collect_relay(alias, payload["ack"])
         codec = RelayCodec(
-            payload["edge"],
-            runtime.relay_exports[alias]["alias_channel"],
-            columnar=payload.get("columnar", True),
+            payload["edge"], runtime.relay_exports[alias]["alias_channel"]
         )
         frames = []
         for run in runs:
@@ -517,17 +549,16 @@ def _worker_main(
     replies,
     options: _WorkerOptions,
     faults: Optional[WorkerFaults],
-    ring: Optional[RingBuffer] = None,
+    ring: RingBuffer,
 ) -> None:
     """Worker body: one QueryRuntime served by the command/data loop."""
     reseed_identifiers(worker_id_base(incarnation))
-    with internal_construction():
-        runtime = QueryRuntime(
-            capture_outputs=options.capture_outputs,
-            track_latency=options.track_latency,
-            incremental=options.incremental,
-            observe=options.observe,
-        )
+    runtime = QueryRuntime(
+        capture_outputs=options.capture_outputs,
+        track_latency=options.track_latency,
+        incremental=options.incremental,
+        observe=options.observe,
+    )
     for stream in streams:
         runtime.adopt_source(stream, channels[stream.name])
     recorder = (
@@ -695,10 +726,8 @@ class ProcessShardedRuntime:
         track_latency: bool = False,
         incremental: bool = True,
         max_batch: int = 1024,
-        data_plane: str = "columnar",
         command_timeout: float = 2.0,
         max_retries: int = 30,
-        retry_budget: float = 0.0,
         faults: Optional[FrameFaults] = None,
         worker_faults: Optional[dict[int, WorkerFaults]] = None,
         durable: bool = False,
@@ -707,12 +736,10 @@ class ProcessShardedRuntime:
         observe: bool = False,
         journal: Union[str, CoordinatorLog, None] = None,
         differential: bool = True,
-        full_checkpoint_every: int = 8,
         coordinator_faults: Optional[CoordinatorFaults] = None,
         _resume: bool = False,
         _handoff: Optional[CoordinatorHandoff] = None,
     ):
-        warn_direct_construction("ProcessShardedRuntime")
         if not fork_available():
             raise LifecycleError(
                 "ProcessShardedRuntime requires the fork start method; "
@@ -722,25 +749,6 @@ class ProcessShardedRuntime:
             raise LifecycleError(
                 f"checkpoint_every must be non-negative, got {checkpoint_every}"
             )
-        if full_checkpoint_every < 1:
-            raise LifecycleError(
-                f"full_checkpoint_every must be at least 1, got "
-                f"{full_checkpoint_every}"
-            )
-        if retry_budget < 0:
-            raise LifecycleError(
-                f"retry_budget must be non-negative, got {retry_budget}"
-            )
-        if data_plane not in ("columnar", "pickle"):
-            raise LifecycleError(
-                f"data_plane must be 'columnar' or 'pickle', "
-                f"got {data_plane!r}"
-            )
-        #: Data transport for source runs: ``"columnar"`` packs runs into
-        #: schema-interned columns shipped through per-worker shared-memory
-        #: rings (falling back to queue frames per run when unpackable);
-        #: ``"pickle"`` keeps every run on the legacy pickled-tuple wire.
-        self.data_plane = data_plane
         self._journal = (
             journal
             if isinstance(journal, CoordinatorLog) or journal is None
@@ -766,9 +774,6 @@ class ProcessShardedRuntime:
         self.max_batch = max_batch
         self.command_timeout = command_timeout
         self.max_retries = max_retries
-        #: Wall-clock retransmission budget per RPC in seconds (0 disables;
-        #: ``max_retries`` still applies either way).
-        self.retry_budget = retry_budget
         self.faults = faults
         self._worker_faults = dict(worker_faults or {})
         self._coordinator_faults = coordinator_faults
@@ -783,7 +788,6 @@ class ProcessShardedRuntime:
         )
         self.checkpoint_every = checkpoint_every
         self.differential = bool(differential)
-        self.full_checkpoint_every = full_checkpoint_every
         if store is None and self._journal is not None:
             # The journal directory doubles as the checkpoint directory —
             # one place on disk holds everything a cold start needs.
@@ -942,11 +946,9 @@ class ProcessShardedRuntime:
                         "track_latency": track_latency,
                         "incremental": incremental,
                         "max_batch": max_batch,
-                        "data_plane": data_plane,
                         "checkpoint_every": checkpoint_every,
                         "observe": self.observe,
                         "differential": self.differential,
-                        "full_checkpoint_every": full_checkpoint_every,
                     },
                 )
             for __ in range(n_shards):
@@ -978,21 +980,8 @@ class ProcessShardedRuntime:
         from its latest journaled checkpoint plus its journaled
         write-ahead-log suffix — byte-identical to a never-crashed serve.
         """
-        log = (
-            journal
-            if isinstance(journal, CoordinatorLog)
-            else CoordinatorLog(journal)
-        )
-        if log.is_fresh:
-            raise JournalError(
-                f"no coordinator journal found under {log.path!r}; nothing "
-                f"to resume"
-            )
-        merged = dict(log.state.options)
-        merged.update(options)
-        merged.pop("n_shards", None)  # topology comes from the journal
-        with internal_construction():  # already a factory entry point
-            return cls(journal=log, _resume=True, **merged)
+        log, merged = _resume_options(cls, journal, options)
+        return cls(journal=log, _resume=True, **merged)
 
     @classmethod
     def readopt(
@@ -1011,21 +1000,8 @@ class ProcessShardedRuntime:
         or diverged workers respawned from checkpoints — and resumes RPCs
         without replaying the fleet.
         """
-        log = (
-            journal
-            if isinstance(journal, CoordinatorLog)
-            else CoordinatorLog(journal)
-        )
-        if log.is_fresh:
-            raise JournalError(
-                f"no coordinator journal found under {log.path!r}; nothing "
-                f"to resume"
-            )
-        merged = dict(log.state.options)
-        merged.update(options)
-        merged.pop("n_shards", None)
-        with internal_construction():  # already a factory entry point
-            return cls(journal=log, _resume=True, _handoff=handoff, **merged)
+        log, merged = _resume_options(cls, journal, options)
+        return cls(journal=log, _resume=True, _handoff=handoff, **merged)
 
     # -- sources ---------------------------------------------------------------------
 
@@ -1100,7 +1076,7 @@ class ProcessShardedRuntime:
         # the shared arena; a respawn gets a fresh ring (the dead
         # incarnation's unread bytes die with it — every announced record
         # was matched by a queue marker the new queue no longer holds).
-        ring = RingBuffer() if self.data_plane == "columnar" else None
+        ring = RingBuffer()
         process = self._context.Process(
             target=_worker_main,
             name=f"shard{shard}.{incarnation}",
@@ -1303,17 +1279,14 @@ class ProcessShardedRuntime:
                     ) from None
                 retries += 1
                 elapsed = time.monotonic() - started
-                if retries > self.max_retries or (
-                    self.retry_budget > 0 and elapsed > self.retry_budget
-                ):
+                if retries > self.max_retries:
                     if span is not None:
                         span.attrs["error"] = True
                     self.rpc_unreachable += 1
                     raise WorkerUnreachableError(
                         f"shard {shard} did not acknowledge {kind} after "
                         f"{retries} attempts ({elapsed:.1f}s; "
-                        f"max_retries={self.max_retries}, "
-                        f"retry_budget={self.retry_budget or 'off'})",
+                        f"max_retries={self.max_retries})",
                         shard=shard,
                         kind=kind,
                         attempts=retries,
@@ -1845,14 +1818,12 @@ class ProcessShardedRuntime:
         self._ckpt_version += 1
         version = self._ckpt_version
         # Differential cadence: deltas by default, a forced full round
-        # every ``full_checkpoint_every`` versions bounding how many
+        # every ``FULL_CHECKPOINT_EVERY`` versions bounding how many
         # splices any restore chain depends on (the store itself is always
         # materialized full, so the bound is about blast radius of a bad
         # splice base, not about restore cost).
         differential = (
-            self.differential
-            and self.full_checkpoint_every > 0
-            and version % self.full_checkpoint_every != 0
+            self.differential and version % FULL_CHECKPOINT_EVERY != 0
         )
         shards: dict[int, dict] = {}
         with self._traced("checkpoint:round", version=version):
@@ -2965,7 +2936,6 @@ class ProcessShardedRuntime:
                         "alias": alias,
                         "edge": info["edge"],
                         "ack": info["collected"],
-                        "columnar": self.data_plane == "columnar",
                     },
                 )
                 skip = info["collected"] - reply["start"]
@@ -2975,11 +2945,7 @@ class ProcessShardedRuntime:
                         f"from {reply['start']} but coordinator already "
                         f"collected {info['collected']}"
                     )
-                codec = RelayCodec(
-                    info["edge"],
-                    self._channels[alias],
-                    columnar=self.data_plane == "columnar",
-                )
+                codec = RelayCodec(info["edge"], self._channels[alias])
                 rows: list[StreamTuple] = []
                 for __, batch in decode_local_frames(reply["frames"], codec):
                     batch_rows = relay_rows(batch)
@@ -3106,15 +3072,15 @@ class ProcessShardedRuntime:
         used by re-adoption to close a worker's delivery deficit whose
         events the journal already counted.
 
-        Columnar plane: the run is packed once into schema-interned
-        columns and written into each consuming worker's shared-memory
-        ring, announced by a ``ring`` marker on that worker's ordered
-        queue (the marker is the ordering edge, so ring records interleave
-        safely with lifecycle frames and queue fallbacks).  A shard whose
-        ring is full, missing, or too small for the record receives the
-        same columns as a ``crun`` queue frame; a run that cannot pack at
-        all (mixed schema objects, oversized mask) ships on the legacy
-        pickle wire.  All three transports are byte-identical at the sink.
+        The run is packed once into schema-interned columns and written
+        into each consuming worker's shared-memory ring, announced by a
+        ``ring`` marker on that worker's ordered queue (the marker is the
+        ordering edge, so ring records interleave safely with lifecycle
+        frames and queue fallbacks).  A shard whose ring is full or too
+        small for the record receives the same columns as a ``crun`` queue
+        frame; a run that cannot pack at all (mixed schema objects,
+        oversized mask) ships as the pickle ``run`` frame.  All three
+        transports are byte-identical at the sink.
         """
         stream = self.streams[stream_name]
         channel = self._channels[stream_name]
@@ -3132,54 +3098,37 @@ class ProcessShardedRuntime:
             trace = (self.trace_id, span.span_id)
             span.finish()  # ship is enqueue-only; the span marks lineage
             self.recorder.record(span)
-        batch = (
-            ColumnBatch.from_rows(stream.schema, chunk, bit)
-            if self.data_plane == "columnar"
-            else None
-        )
-        if batch is not None:
-            frames = self._encoder.encode_run_columns(
+        batch = ColumnBatch.from_rows(stream.schema, chunk, bit)
+        if batch is None:
+            *schemas, run = self._encoder.encode_run(
+                channel,
+                [ChannelTuple(tuple_, bit) for tuple_ in chunk],
+                trace=trace,
+            )
+        else:
+            *schemas, run = self._encoder.encode_run_columns(
                 channel, batch, trace=trace
             )
-            crun = frames[-1]
-            for frame in frames[:-1]:
-                # Broadcast + record, so respawned workers can replay
-                # the interning state before their first run frame.
-                self._schema_frames.append(frame)
-                for handle in self._workers.values():
-                    handle.commands.put(frame)
-            parts = total = None
-            for shard in shards:
-                handle = self._workers[shard]
-                ring = handle.ring
-                shipped = False
-                if ring is not None:
-                    if parts is None:
-                        parts, total = pack_run_record(
-                            channel.channel_id, crun[2], batch
-                        )
-                    if ring.try_write(parts, total):
-                        marker = (
-                            (RING, total)
-                            if trace is None
-                            else (RING, total, trace)
-                        )
-                        handle.commands.put(marker)
-                        shipped = True
-                if not shipped:
-                    handle.commands.put(crun)
-        else:
-            encoded = [ChannelTuple(tuple_, bit) for tuple_ in chunk]
-            for frame in self._encoder.encode_run(
-                channel, encoded, trace=trace
-            ):
-                if frame[0] == SCHEMA:
-                    self._schema_frames.append(frame)
-                    for handle in self._workers.values():
-                        handle.commands.put(frame)
-                else:
-                    for shard in shards:
-                        self._workers[shard].commands.put(frame)
+        for frame in schemas:
+            # Broadcast + record, so respawned workers can replay the
+            # interning state before their first run frame.
+            self._schema_frames.append(frame)
+            for handle in self._workers.values():
+                handle.commands.put(frame)
+        parts = total = None
+        for shard in shards:
+            handle = self._workers[shard]
+            if batch is not None:
+                if parts is None:
+                    parts, total = pack_run_record(
+                        channel.channel_id, run[2], batch
+                    )
+                if handle.ring.try_write(parts, total):
+                    handle.commands.put(
+                        (RING, total) if trace is None else (RING, total, trace)
+                    )
+                    continue
+            handle.commands.put(run)
         if count:
             for shard in shards:
                 counts = self._shipped[shard]

@@ -206,8 +206,8 @@ class RelayOutbox:
     frames leave mid-dispatch on the streaming path.
     """
 
-    def __init__(self, edge_id: int, channel: Channel, sink, columnar: bool):
-        self.codec = RelayCodec(edge_id, channel, columnar=columnar)
+    def __init__(self, edge_id: int, channel: Channel, sink):
+        self.codec = RelayCodec(edge_id, channel)
         self._sink = sink
         self._put = getattr(sink, "put", None)
 

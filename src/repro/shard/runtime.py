@@ -37,7 +37,6 @@ from repro.core.optimizer import OptimizationReport, Optimizer
 from repro.engine.metrics import RunStats
 from repro.errors import LifecycleError, QueryLanguageError
 from repro.lang.ast import LogicalQuery
-from repro.runtime.config import internal_construction, warn_direct_construction
 from repro.runtime.runtime import ComponentTransfer, QueryRuntime
 from repro.streams.channel import Channel
 from repro.streams.schema import Schema
@@ -58,25 +57,23 @@ class ShardedRuntime:
         incremental: bool = True,
         observe: bool = False,
     ):
-        warn_direct_construction("ShardedRuntime")
         if n_shards < 1:
             raise LifecycleError(f"n_shards must be at least 1, got {n_shards}")
         self.n_shards = n_shards
         self.observe = bool(observe)
         self.streams: dict[str, StreamDef] = {}
         self._channels: dict[str, Channel] = {}
-        with internal_construction():
-            self.runtimes: list[QueryRuntime] = [
-                QueryRuntime(
-                    sources=None,
-                    optimizer=optimizer,
-                    capture_outputs=capture_outputs,
-                    track_latency=track_latency,
-                    incremental=incremental,
-                    observe=observe,
-                )
-                for __ in range(n_shards)
-            ]
+        self.runtimes: list[QueryRuntime] = [
+            QueryRuntime(
+                sources=None,
+                optimizer=optimizer,
+                capture_outputs=capture_outputs,
+                track_latency=track_latency,
+                incremental=incremental,
+                observe=observe,
+            )
+            for __ in range(n_shards)
+        ]
         #: Aggregate statistics; each source event is counted once, outputs
         #: are summed across shards (queries are disjoint across shards).
         self.stats = RunStats()

@@ -634,9 +634,9 @@ class WireEncoder:
     ) -> list[tuple]:
         """Encode a packed columnar run as a ``crun`` frame (+ schema frames).
 
-        The queue-transport sibling of :func:`pack_run_record`: arrays ride
-        the frame as numpy objects, used when a shard has no ring (pickle
-        data plane with columnar sources) or a record outgrows the ring.
+        The pipe/queue sibling of :func:`pack_run_record`: arrays ride the
+        frame as numpy objects, used when a host has no ring (inline, relay
+        edges) or a record does not fit the ring.
         """
         frames: list[tuple] = []
         token = self._token_of(batch.schema, frames)
@@ -783,16 +783,13 @@ class RelayCodec:
     terminating ``relay-eof`` frame carries the final count so a silently
     truncated edge is detected rather than absorbed.
 
-    ``columnar=True`` packs each run into a ``crun`` inner frame when its
-    rows share one schema, falling back to the pickle ``run`` frame per
-    run; ``columnar=False`` forces the pickle plane (the equivalence
-    oracle).
+    Each run packs into a ``crun`` inner frame when its rows share one
+    schema, falling back to the pickle ``run`` frame per run.
     """
 
-    def __init__(self, edge_id: int, channel: Channel, columnar: bool = True):
+    def __init__(self, edge_id: int, channel: Channel):
         self.edge_id = edge_id
         self.channel = channel
-        self.columnar = columnar
         self._encoder = WireEncoder()
         self._decoder = WireDecoder([channel])
         self._next_send = 0
@@ -808,19 +805,14 @@ class RelayCodec:
 
     def encode(self, batch) -> list[tuple]:
         """Encode one tapped run (channel tuples or a ``ColumnBatch``)."""
-        if self.columnar:
-            packed = (
-                batch
-                if type(batch) is ColumnBatch
-                else ColumnBatch.from_channel_tuples(batch)
-            )
-            if packed is not None:
-                inner = self._encoder.encode_run_columns(self.channel, packed)
-            else:
-                inner = self._encoder.encode_run(self.channel, list(batch))
+        packed = (
+            batch
+            if type(batch) is ColumnBatch
+            else ColumnBatch.from_channel_tuples(batch)
+        )
+        if packed is not None:
+            inner = self._encoder.encode_run_columns(self.channel, packed)
         else:
-            if type(batch) is ColumnBatch:
-                batch = batch.channel_tuples()
             inner = self._encoder.encode_run(self.channel, list(batch))
         frames = []
         for frame in inner:

@@ -74,6 +74,18 @@ def split_entries(
     return by_stream
 
 
+def unpackable(tuples: list[StreamTuple]) -> list[StreamTuple]:
+    """The same rows, every other one on an equal but distinct schema
+    object: ``ColumnBatch`` packs only runs whose rows share one schema
+    object, so no run of two or more of these rows packs and each takes
+    the per-run pickle fallback."""
+    copy = Schema(list(tuples[0].schema.attributes))
+    return [
+        StreamTuple(copy, t.values, t.ts) if index % 2 else t
+        for index, t in enumerate(tuples)
+    ]
+
+
 # -- plan builders ------------------------------------------------------------------
 
 

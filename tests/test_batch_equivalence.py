@@ -554,16 +554,31 @@ class TestShardedRandomInterleavings:
     interleaving, any batch size, any shard count, either feed."""
 
     @given(
-        events=event_entries(n_streams=3),
+        events=event_entries(n_streams=7),
         max_batch=max_batches,
-        n_shards=st.integers(1, 3),
+        n_shards=st.integers(1, 4),
         feed=st.sampled_from(["local", "router"]),
+        k=st.integers(0, 3),
     )
     @settings(max_examples=40, deadline=None)
-    def test_sharded_equals_per_tuple(self, events, max_batch, n_shards, feed):
+    def test_sharded_equals_per_tuple(
+        self, events, max_batch, n_shards, feed, k
+    ):
+        # k == 0 draws the two-component plan; k >= 1 the k σ-components
+        # beside S;T and q_both, whose sinks sit in two planner components.
         from repro.shard import ShardedEngine
 
-        by_stream = split_entries(events, n_streams=3)
+        def build():
+            if k == 0:
+                return two_component_plan()
+            return independent_components_plan(k)
+
+        plan, handles = build()
+        n_streams = len(handles)
+        by_stream = split_entries(
+            [(target % n_streams, *rest) for target, *rest in events],
+            n_streams,
+        )
 
         def sources_of(plan, handles):
             return [
@@ -571,11 +586,10 @@ class TestShardedRandomInterleavings:
                 for index, handle in enumerate(handles)
             ]
 
-        plan, handles = two_component_plan()
         reference = StreamEngine(plan, capture_outputs=True, batching=False)
         per_tuple = reference.run(sources_of(plan, handles))
 
-        plan, handles = two_component_plan()
+        plan, handles = build()
         sharded = ShardedEngine(
             plan,
             n_shards,
@@ -632,6 +646,63 @@ class TestShardedRandomInterleavings:
         assert aggregate.outputs_by_query == per_tuple.outputs_by_query
         assert aggregate.input_events == per_tuple.input_events
         assert sharded.captured == reference.captured
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["inline", "process"])
+    @pytest.mark.parametrize("feed", ["local", "router"])
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", ["two_components", "source_and_derived"])
+    def test_query_sinks_stay_in_one_component(
+        self, shape, n_shards, feed, parallel
+    ):
+        # A query's sinks must all land in one component, or the shard
+        # merge reorders its captured outputs (router feed) and shards
+        # overwrite each other's captured list (3+ shards).  Shapes:
+        # ``q_both`` on σ(X) and σ(Y) of independent_components_plan(2), and
+        # ``q_mixed`` on σ(S) and directly on the source P.
+        from repro.shard import ShardedEngine
+
+        def build():
+            if shape == "two_components":
+                plan, handles = independent_components_plan(2)
+            else:
+                plan = QueryPlan()
+                s, p, u = (
+                    plan.add_source(n, EVENT_SCHEMA) for n in ("S", "P", "U")
+                )
+                for stream, query_id in ((s, "q_mixed"), (u, "q_u")):
+                    out = plan.add_operator(
+                        Selection(Comparison(attr("a0"), ">", lit(0))),
+                        [stream],
+                        query_id=query_id,
+                    )
+                    plan.mark_output(out, query_id)
+                plan.mark_output(p, "q_mixed")
+                handles = (s, p, u)
+            period = len(handles)
+            return plan, [
+                StreamSource(
+                    plan.channel_of(handle),
+                    [
+                        StreamTuple(EVENT_SCHEMA, (1, ts), ts)
+                        for ts in range(offset, 10 * period, period)
+                    ],
+                )
+                for offset, handle in enumerate(handles)
+            ]
+
+        plan, sources = build()
+        reference = StreamEngine(plan, capture_outputs=True, batching=False)
+        per_tuple = reference.run(sources)
+        query_id = "q_both" if shape == "two_components" else "q_mixed"
+        assert len(reference.captured[query_id]) == 20
+        plan, sources = build()
+        sharded = ShardedEngine(
+            plan, n_shards, parallel=parallel, feed=feed, capture_outputs=True
+        )
+        aggregate = sharded.run(sources).aggregate
+        assert sharded.captured == reference.captured
+        assert aggregate.outputs_by_query == per_tuple.outputs_by_query
+        assert aggregate.input_events == per_tuple.input_events
 
 
 # -- state partitioning -------------------------------------------------------------

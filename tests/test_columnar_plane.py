@@ -3,9 +3,9 @@
 The zero-copy plane's acceptance contract: a serve over packed columns —
 shared-memory ring records, ``crun`` queue frames, columnar-native
 sources, vectorized ``process_columns`` — is **byte-identical** to the
-same serve over the legacy pickle wire and to the in-process reference,
-including under seeded worker crashes with durable recovery and
-checkpoint/restore.  The wire-codec properties live in
+in-process reference, including under seeded worker crashes with durable
+recovery and checkpoint/restore, and so is a serve whose runs cannot pack
+and take the per-run pickle fallback.  The wire-codec properties live in
 ``test_wire_edge.py``; this module proves the *integration*: routing,
 shipping, decoding, fault accounting and schema retirement all composed.
 """
@@ -13,7 +13,7 @@ shipping, decoding, fault accounting and schema retirement all composed.
 import pytest
 
 from repro import RuntimeConfig, open_runtime
-from repro.errors import LifecycleError, PlanError
+from repro.errors import PlanError
 from repro.shard import (
     ProcessShardedRuntime,
     ShardedEngine,
@@ -25,6 +25,7 @@ from repro.streams.columns import ColumnBatch
 from repro.streams.schema import Schema
 from repro.streams.sources import ColumnRunSource
 from repro.streams.tuples import StreamTuple
+from strategies import unpackable
 from test_shard_engine import (
     interleaved_tuples,
     make_sources,
@@ -38,9 +39,14 @@ needs_fork = pytest.mark.skipif(
 
 SCHEMA = Schema.of_ints("a0", "a1")
 FAST = {"command_timeout": 0.25, "max_retries": 60}
+#: An equal but distinct copy of SCHEMA.  ``ColumnBatch`` packs only runs
+#: whose rows share one schema object (the declared one, for a runtime's
+#: sources), so rows on the copy take the per-run pickle fallback.
+ALIEN = Schema(list(SCHEMA.attributes))
+#: Which wire a serve's runs take: ``"columnar"`` (every run packs) or
+#: ``"pickle"`` (no run packs; each ships as the pickle ``run`` frame).
+PLANES = ["columnar", "pickle"]
 
-#: One query per stateful family, so columns flow into windowed sequence
-#: state, shared aggregates and symmetric joins — not just selections.
 QUERIES = [
     "FROM S WHERE a0 == 2",
     "FROM (FROM S WHERE a0 == 1) SEQ T MATCHING WITHIN 25 KEEP",
@@ -49,20 +55,21 @@ QUERIES = [
 ]
 
 
-def feed(runtime, first, last):
+def feed(runtime, first, last, plane="columnar"):
+    schema = ALIEN if plane == "pickle" else SCHEMA
     for ts in range(first, last):
         runtime.process(
-            "S" if ts % 2 == 0 else "T", StreamTuple(SCHEMA, (ts % 3, ts), ts)
+            "S" if ts % 2 == 0 else "T", StreamTuple(schema, (ts % 3, ts), ts)
         )
 
 
-def reference_serve(first, last):
+def reference_serve(first, last, plane="columnar"):
     reference = ShardedRuntime(
         {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
     )
     for index, text in enumerate(QUERIES):
         reference.register(text, query_id=f"q{index}", shard=index % 2)
-    feed(reference, first, last)
+    feed(reference, first, last, plane)
     return reference
 
 
@@ -91,20 +98,20 @@ def columnar_sources(plan, handles, per_source):
 
 @needs_fork
 class TestProcessRuntimePlaneEquivalence:
-    @pytest.mark.parametrize("data_plane", ["columnar", "pickle"])
-    def test_both_planes_match_the_inprocess_reference(self, data_plane):
-        reference = reference_serve(0, 140)
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_both_planes_match_the_inprocess_reference(self, plane):
+        reference = reference_serve(0, 140, plane)
         proc = ProcessShardedRuntime(
-            {"S": SCHEMA, "T": SCHEMA},
-            n_shards=2,
-            capture_outputs=True,
-            data_plane=data_plane,
+            {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True
         )
         try:
-            assert proc.data_plane == data_plane
             for index, text in enumerate(QUERIES):
                 proc.register(text, query_id=f"q{index}", shard=index % 2)
-            feed(proc, 0, 140)
+            schema = ALIEN if plane == "pickle" else SCHEMA
+            row = StreamTuple(schema, (1, 2), 0)
+            packed = ColumnBatch.from_rows(proc.streams["S"].schema, [row], 1)
+            assert (packed is None) == (plane == "pickle")
+            feed(proc, 0, 140, plane)
             assert_identical(proc, reference)
         finally:
             proc.close()
@@ -123,7 +130,6 @@ class TestColumnarUnderFaults:
             {"S": SCHEMA, "T": SCHEMA},
             n_shards=2,
             capture_outputs=True,
-            data_plane="columnar",
             durable=True,
             checkpoint_every=checkpoint_every,
             worker_faults={0: WorkerFaults(crash_on=("data", 35))},
@@ -176,30 +182,33 @@ class TestShardedEngineDataPlane:
         factory = lambda: partitionable_plan()
         rows = lambda plan, handles: make_sources(plan, handles, per_source)
         single = single_engine_run(factory, rows)
-        for data_plane in ("columnar", "pickle"):
-            plan, handles = factory()
-            sharded = ShardedEngine(
-                plan, 3, parallel=False, feed="router",
-                capture_outputs=True, max_batch=64, data_plane=data_plane,
-            )
-            run = sharded.run(rows(plan, handles))
-            assert run.mode == "inline"
-            assert run.spawn_seconds == 0.0
-            assert run.aggregate.outputs_by_query == single[0].outputs_by_query
-            assert run.aggregate.input_events == single[0].input_events
-            assert sharded.captured == single[1]
+        plan, handles = factory()
+        sharded = ShardedEngine(
+            plan, 3, parallel=False, feed="router",
+            capture_outputs=True, max_batch=64,
+        )
+        run = sharded.run(rows(plan, handles))
+        assert run.mode == "inline"
+        assert run.spawn_seconds == 0.0
+        assert run.aggregate.outputs_by_query == single[0].outputs_by_query
+        assert run.aggregate.input_events == single[0].input_events
+        assert sharded.captured == single[1]
 
     @needs_fork
-    @pytest.mark.parametrize("data_plane", ["columnar", "pickle"])
-    def test_process_router_matches_single_engine(self, data_plane):
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_process_router_matches_single_engine(self, plane):
         per_source = interleaved_tuples(3, 200)
+        if plane == "pickle":
+            per_source = [unpackable(tuples) for tuples in per_source]
+            assert ColumnBatch.from_rows(
+                per_source[0][0].schema, per_source[0][:2], 1
+            ) is None
         factory = lambda: partitionable_plan()
         rows = lambda plan, handles: make_sources(plan, handles, per_source)
         single = single_engine_run(factory, rows)
         plan, handles = factory()
         sharded = ShardedEngine(
-            plan, 3, parallel=True, feed="router",
-            capture_outputs=True, data_plane=data_plane,
+            plan, 3, parallel=True, feed="router", capture_outputs=True
         )
         run = sharded.run(rows(plan, handles))
         assert run.mode == "process"
@@ -266,47 +275,45 @@ class TestColumnarNativeSources:
 class TestDataPlaneValidation:
     def test_engine_rejects_unknown_plane(self):
         plan, __ = partitionable_plan(num_sources=1, queries_per_source=1)
-        with pytest.raises(PlanError, match="data_plane"):
-            ShardedEngine(plan, 2, data_plane="arrow")
-
-    def test_config_rejects_unknown_plane(self):
-        config = RuntimeConfig(
-            sources={"S": SCHEMA}, process=True, data_plane="arrow"
-        )
-        with pytest.raises(LifecycleError, match="data_plane"):
-            config.validate()
+        for plane in ("arrow", "pickle"):
+            with pytest.raises(PlanError, match="data_plane"):
+                ShardedEngine(plan, 2, data_plane=plane)
 
     @needs_fork
-    def test_runtime_rejects_unknown_plane(self):
-        with pytest.raises(LifecycleError, match="data_plane"):
-            with pytest.warns(DeprecationWarning):
-                ProcessShardedRuntime({"S": SCHEMA}, data_plane="arrow")
-
-    @needs_fork
-    def test_factory_forwards_and_journal_pins_the_plane(self, tmp_path):
-        """``open_runtime`` forwards the knob, the coordinator journals
-        it, and a resumed coordinator inherits the journaled plane."""
+    def test_legacy_journal_with_pickle_plane_resumes(self, tmp_path):
+        """A journal written while the data plane was still an option
+        carries ``data_plane="pickle"`` (and ``full_checkpoint_every``) in
+        its options record.  A cold start from it drops the retired keys
+        and finishes byte-identical to an uninterrupted serve."""
         journal = str(tmp_path / "journal")
+        reference = reference_serve(0, 140)
         runtime = open_runtime(
             RuntimeConfig(
                 sources={"S": SCHEMA, "T": SCHEMA},
                 process=True,
                 capture_outputs=True,
-                data_plane="pickle",
+                checkpoint_every=8,
                 journal=journal,
             )
         )
-        try:
-            assert runtime.data_plane == "pickle"
-            runtime.register(QUERIES[0], query_id="q0")
-            feed(runtime, 0, 20)
-            runtime.collect_stats()
-        finally:
-            runtime.close()
-        resumed = open_runtime(
-            RuntimeConfig(process=True, journal=journal, resume=True)
+        runtime._journal.append(
+            "options", {"data_plane": "pickle", "full_checkpoint_every": 8}
         )
         try:
-            assert resumed.data_plane == "pickle"
+            for index, text in enumerate(QUERIES):
+                runtime.register(text, query_id=f"q{index}", shard=index % 2)
+            feed(runtime, 0, 70)
+        finally:
+            runtime.abandon()
+        resumed = open_runtime(
+            RuntimeConfig(
+                process=True, capture_outputs=True, journal=journal,
+                resume=True,
+            )
+        )
+        try:
+            assert resumed._journal.state.options["data_plane"] == "pickle"
+            feed(resumed, 70, 140)
+            assert_identical(resumed, reference)
         finally:
             resumed.close()

@@ -170,14 +170,12 @@ def assert_identical(proc, reference):
 
 @pytestmark_proc
 class TestProcessLiveRelay:
-    @pytest.mark.parametrize("data_plane", ["columnar", "pickle"])
-    def test_split_placement_is_byte_identical(self, data_plane):
+    def test_split_placement_is_byte_identical(self):
         reference = split_reference()
         proc = ProcessShardedRuntime(
             {"S": SCHEMA},
             n_shards=2,
             capture_outputs=True,
-            data_plane=data_plane,
             **FAST,
         )
         try:

@@ -1,19 +1,14 @@
-"""RuntimeConfig + open_runtime: selection, validation, deprecation.
+"""RuntimeConfig + open_runtime: selection and validation.
 
 The unified factory replaced three divergent constructor surfaces; these
-tests pin the selection rules (shards/process → which runtime), the
-actionable one-line validation errors, and the deprecation contract:
-direct constructor calls warn, factory-built and internally-built
-runtimes do not.
+tests pin the selection rules (shards/process → which runtime) and the
+actionable one-line validation errors.
 """
-
-import warnings
 
 import pytest
 
 from repro import RuntimeConfig, open_runtime
 from repro.errors import LifecycleError
-from repro.runtime.config import internal_construction
 from repro.runtime.runtime import QueryRuntime
 from repro.shard import fork_available
 from repro.shard.runtime import ShardedRuntime
@@ -96,34 +91,10 @@ class TestValidation:
             RuntimeConfig(sources=SOURCES, max_batch=0).validate()
 
 
-class TestDeprecation:
-    def test_direct_query_runtime_warns(self):
-        with pytest.warns(DeprecationWarning, match="direct construction"):
-            QueryRuntime(SOURCES)
-
-    def test_direct_sharded_runtime_warns(self):
-        with pytest.warns(DeprecationWarning, match="open_runtime"):
-            ShardedRuntime(SOURCES, n_shards=2)
-
-    def test_factory_does_not_warn(self):
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            open_runtime(sources=SOURCES, shards=2)
-        assert not [
-            w for w in seen if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_internal_construction_suppresses(self):
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            with internal_construction():
-                QueryRuntime(SOURCES)
-        assert not seen
-
-    def test_deprecated_constructor_still_works(self):
-        """The old surface keeps functioning — warning only, no break."""
-        with pytest.warns(DeprecationWarning):
-            runtime = QueryRuntime(SOURCES, capture_outputs=True)
+class TestDirectConstruction:
+    def test_direct_constructor_works(self):
+        """The runtime classes stay directly constructible."""
+        runtime = QueryRuntime(SOURCES, capture_outputs=True)
         runtime.register("FROM S WHERE a0 == 1", query_id="q")
         runtime.process_batch("S", [StreamTuple(SCHEMA, (1, 2), 1)])
         assert len(runtime.captured["q"]) == 1
@@ -136,17 +107,12 @@ class TestProcessSelection:
     def test_process_true_opens_worker_fleet(self):
         from repro.shard.proc import ProcessShardedRuntime
 
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            runtime = open_runtime(
-                sources=SOURCES, process=True, capture_outputs=True
-            )
+        runtime = open_runtime(
+            sources=SOURCES, process=True, capture_outputs=True
+        )
         try:
             assert type(runtime) is ProcessShardedRuntime
             assert runtime.n_shards == 2
-            assert not [
-                w for w in seen if issubclass(w.category, DeprecationWarning)
-            ]
             runtime.register("FROM S WHERE a0 == 1", query_id="q")
             runtime.process_batch(
                 "S", [StreamTuple(SCHEMA, (1, 9), 1)]

@@ -2,21 +2,25 @@
 
 The relay contract: when the planner cuts an oversized component at a
 bridge channel, the sharded engine — inline or process workers, local or
-router feed, columnar or pickle plane — produces outputs byte-identical
-to the single batched engine (per-query content, timestamps *and* order),
-and aggregate input accounting still counts every source event exactly
-once (relayed tuples are deducted, not double-counted).
+router feed, packed runs or the per-run pickle fallback — produces outputs
+byte-identical to the single batched engine (per-query content,
+timestamps *and* order), and aggregate input accounting still counts
+every source event exactly once (relayed tuples are deducted, not
+double-counted).
 """
 
 import pytest
 
+from repro.core.optimizer import Optimizer
 from repro.core.plan import QueryPlan
 from repro.engine.executor import StreamEngine
 from repro.errors import ChannelError
-from repro.operators.expressions import attr, lit, right
+from repro.operators.expressions import attr, left, lit, right
+from repro.operators.join import SlidingWindowJoin
 from repro.operators.predicates import Comparison, DurationWithin, conjunction
 from repro.operators.select import Selection
 from repro.operators.sequence import Sequence
+from repro.operators.window import TimeWindow
 from repro.shard import ShardedEngine, fork_available
 from repro.shard.relay import (
     BufferedRunSource,
@@ -29,6 +33,7 @@ from repro.streams.channel import ChannelTuple
 from repro.streams.schema import Schema
 from repro.streams.sources import StreamSource, merge_source_runs
 from repro.streams.tuples import StreamTuple
+from strategies import unpackable
 
 SCHEMA = Schema.numbered(2)
 
@@ -94,14 +99,13 @@ def assert_equivalent(single, sharded, run):
 
 class TestInlineRelayEquivalence:
     @pytest.mark.parametrize("feed", ["local", "router"])
-    @pytest.mark.parametrize("data_plane", ["columnar", "pickle"])
-    def test_split_bridge_matches_single_engine(self, feed, data_plane):
+    def test_split_bridge_matches_single_engine(self, feed):
         single = single_run()
         assert single[0].output_events > 0
         plan, handles = bridge_plan()
         sharded = ShardedEngine(
             plan, 2, parallel=False, feed=feed, capture_outputs=True,
-            data_plane=data_plane, max_batch=64,
+            max_batch=64,
         )
         assert sharded.shard_plan.relays, "bridge component must split"
         assert sharded.shard_plan.effective_shards == 2
@@ -134,6 +138,60 @@ class TestInlineRelayEquivalence:
         assert sharded.shard_plan.relays
         run = sharded.run(make_sources(plan, handles, bridge_tuples()))
         assert_equivalent(single, sharded, run)
+
+    @pytest.mark.parametrize("feed", ["local", "router"])
+    def test_colocated_fragments_rejoin(self, feed):
+        # σ(S) feeds a window join with T, beside an uncuttable σ-cluster on
+        # U heavy enough that the bridge component is cut, yet LPT lands
+        # both fragments on one shard.  They run on one engine, so they are
+        # one component again: S and T merge tuple by tuple (the join's
+        # output order depends on it) and no relay edge is left.
+        def build():
+            plan = QueryPlan()
+            s, t, u = (plan.add_source(name, SCHEMA) for name in "STU")
+            sel = plan.add_operator(
+                Selection(Comparison(attr("a0"), "==", lit(1))), [s],
+                query_id="q_sel",
+            )
+            plan.mark_output(sel, "q_sel")
+            join = plan.add_operator(
+                SlidingWindowJoin(
+                    Comparison(left("a1"), "<", right("a1")), TimeWindow(5)
+                ),
+                [sel, t],
+                query_id="q_join",
+            )
+            plan.mark_output(join, "q_join")
+            for constant in range(7):
+                out = plan.add_operator(
+                    Selection(Comparison(attr("a0"), "==", lit(constant))),
+                    [u],
+                    query_id=f"q_u{constant}",
+                )
+                plan.mark_output(out, f"q_u{constant}")
+            Optimizer().optimize(plan)
+            return plan, (s, t, u)
+
+        per_source = [[], [], []]
+        for ts in range(300):
+            per_source[ts % 3].append(StreamTuple(SCHEMA, (1, ts), ts))
+        plan, handles = build()
+        reference = StreamEngine(plan, capture_outputs=True, batching=False)
+        expected = reference.run(make_sources(plan, handles, per_source))
+        assert expected.outputs_by_query["q_join"] > 0
+        plan, handles = build()
+        sharded = ShardedEngine(
+            plan, 2, parallel=False, feed=feed, capture_outputs=True
+        )
+        run = sharded.run(make_sources(plan, handles, per_source))
+        assert run.aggregate.outputs_by_query == expected.outputs_by_query
+        assert sharded.captured == reference.captured
+        assert sharded.shard_plan.relays == []
+        s, t = (plan.channel_of(h).channel_id for h in handles[:2])
+        assert any(
+            {s, t} <= component.entry_channel_ids
+            for component in sharded.shard_plan.components
+        )
 
     def test_repeat_runs_reuse_taps(self):
         # Engines and taps persist across run() calls; a second drain must
@@ -183,14 +241,21 @@ class TestProcessRelayEquivalence:
         assert run.mode == "process"
         assert_equivalent(single, sharded, run)
 
-    def test_pickle_plane_cross_worker(self):
-        single = single_run()
+    def test_unpackable_runs_cross_worker(self):
+        # Every other row on an equal but distinct schema object: no source
+        # run and no relayed run packs, so both the router feed and the
+        # relay edge ship the per-run pickle fallback across workers.
+        tuples = [unpackable(source) for source in bridge_tuples()]
+        plan, handles = bridge_plan()
+        engine = StreamEngine(plan, capture_outputs=True)
+        single = engine.run(make_sources(plan, handles, tuples)), engine.captured
         plan, handles = bridge_plan()
         sharded = ShardedEngine(
             plan, 2, parallel=True, feed="router", capture_outputs=True,
-            worker_cap=2, data_plane="pickle",
+            worker_cap=2, max_batch=64,
         )
-        run = sharded.run(make_sources(plan, handles, bridge_tuples()))
+        run = sharded.run(make_sources(plan, handles, tuples))
+        assert run.mode == "process"
         assert_equivalent(single, sharded, run)
 
 

@@ -26,6 +26,7 @@ or run the standalone script ``benchmarks/bench_obs_overhead.py``.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -96,6 +97,10 @@ def _measure_mode(scale: ObsScale, tuples, batching: bool) -> dict:
     reference_outputs = None
     for __ in range(scale.trials):
         for observe in (False, True):
+            # Every trial starts from the same collector state: otherwise a
+            # full collection triggered by the previous trial's plan lands
+            # inside one mode's ~3 ms smoke run and reads as ±20% overhead.
+            gc.collect()
             stats, mop_stats = _run_once(scale, tuples, batching, observe)
             if observe:
                 _check_consistency(stats, mop_stats)

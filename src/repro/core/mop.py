@@ -96,6 +96,14 @@ class MOpExecutor:
     m-ops override it with a vectorized path.  Implementations must preserve
     per-tuple semantics exactly: state updates happen in batch order, and
     the tuples inside each returned group appear in emission order.
+
+    ``process_ranked`` is the entry point of ranked-window dispatch: one
+    call consumes ``(rank, channel, tuple)`` items — spanning several input
+    channels, in rank order — and returns ``(rank, channel, tuple)``
+    outputs in emission order, each tagged with the rank of the input item
+    that produced it.  The default goes through :meth:`process`, so
+    emission merging stays scoped per input item; overrides must keep
+    exactly that.
     """
 
     def process(
@@ -113,6 +121,17 @@ class MOpExecutor:
             for out_channel, out_tuple in process(channel, channel_tuple):
                 _append_grouped(grouped, order, out_channel, out_tuple)
         return order
+
+    def process_ranked(
+        self, items: Sequence[tuple[int, Channel, ChannelTuple]]
+    ) -> list[tuple[int, Channel, ChannelTuple]]:
+        outputs: list[tuple[int, Channel, ChannelTuple]] = []
+        append = outputs.append
+        process = self.process
+        for rank, channel, channel_tuple in items:
+            for out_channel, out_tuple in process(channel, channel_tuple):
+                append((rank, out_channel, out_tuple))
+        return outputs
 
     @property
     def state_size(self) -> int:

@@ -4,27 +4,57 @@
 channel routing table, then drains its sources through the DAG in the order
 :mod:`repro.streams.sources` defines (timestamp-ordered within a component).
 
-Two dispatch paths share the same executor tables:
+Three dispatch regimes share the same executor tables:
 
-- **per-tuple** — the reference interpreter: breadth-first propagation per
-  source event (every emitted channel tuple is enqueued and dispatched to
-  the consumers of its channel);
-- **batched** (default) — the hot path: the source merge is consumed as
+- **per-tuple** — the reference interpreter and the oracle every other
+  regime is checked against: breadth-first propagation per source event
+  (every emitted channel tuple is enqueued and dispatched to the consumers
+  of its channel);
+- **per-channel batches** — the source merge is consumed as
   timestamp-ordered *runs* of same-channel events, each run flows through
   the DAG as one batch per channel (``MOpExecutor.process_batch``), routing
   and sink bookkeeping are flattened into one dense per-channel table, and
   stats/latency/capture branches are hoisted into per-channel closures
-  built at table-rebuild time.
+  built at table-rebuild time;
+- **ranked windows** — for source groups whose channels interleave (two
+  or more entry channels, as in every ``S ; T`` query), the merge is cut
+  into windows of up to ``max_batch`` consecutive events spanning the
+  group's channels.  An event's *rank* is its position in the window, and
+  every tuple derived from it carries that rank.  Each executor runs once
+  per window (``MOpExecutor.process_ranked``), in topological m-op order,
+  over its inputs merged by rank; sinks and relay taps run last, over the
+  rank-ordered tuples of their channels.
 
-Batched dispatch preserves per-tuple semantics *exactly*; the engine proves
-it per entry channel.  Processing a whole run through one executor before
-the next reorders events only across channels, never within one, so it is
-output-identical iff no executor consumes more than one channel reachable
-from the entry channel (a "diamond": the same source event reaching one
-executor via paths of different length, e.g. a µ-op reading both α(CPU) and
-σ(α(CPU))).  ``rebuild_tables`` records the channel-consumption graph and
-entry channels failing the diamond test fall back to per-tuple dispatch, so
-outputs stay byte-identical to the reference path on every plan.
+Both batched regimes preserve per-tuple semantics *exactly*; the engine
+proves it per entry channel and falls back otherwise, so outputs stay
+byte-identical to the reference path on every plan.
+
+*The diamond test* (per-channel batches).  Processing a whole run through
+one executor before the next reorders events only across channels, never
+within one, so it is output-identical iff no executor consumes more than
+one channel reachable from the entry channel (a "diamond": the same source
+event reaching one executor via paths of different length, e.g. a µ-op
+reading both α(CPU) and σ(α(CPU))) and no query sinks on two of them.
+
+*The rank test* (ranked windows) generalises "at most one reachable input
+channel" to "at most one reachable *producer*": for every entry channel,
+each multi-input executor and each multi-sink query reads from at most one
+producer, where a channel's producer is the entry itself (for the entry
+channel) or the one m-op emitting on it.  It is exact because an
+executor's behaviour depends only on the sequence of tuples it is handed.
+Under per-tuple dispatch that sequence is event by event, and within one
+event it is the FIFO order in which the breadth-first queue delivers the
+executor's input tuples — which, when they all come from one producer, is
+that producer's emission order.  Ranked dispatch hands the executor the
+same sequence: ranks order the events, and within a rank only the one
+producer contributes, in its emission order (a stable merge by rank keeps
+it).  By induction over the topological order every executor sees, and so
+emits, exactly what it would per tuple; the same argument orders each
+query's captured outputs.  A group whose entry fails the rank test (the
+§5.3 µ-op reads α(CPU) and σ(α(CPU)), two producers) keeps per-channel
+runs with the per-tuple fallback; a single entry channel that passes the
+diamond test keeps per-channel runs, which need no rank bookkeeping.
+``rebuild_tables`` records the channel-consumption graph both tests read.
 
 Executors read the plan wiring when they are built, so plan rewrites must not
 happen behind a running engine's back.  They may, however, happen *between*
@@ -38,9 +68,11 @@ mid-stream without a stop-the-world rebuild.
 
 from __future__ import annotations
 
+import heapq
 import time
 from collections import deque
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from repro.core.mop import MOpExecutor
@@ -131,6 +163,143 @@ class RelayTap:
         return ()
 
 
+_RANK = itemgetter(0)
+
+
+def _gather(slots: list, parts: tuple) -> list:
+    """The ``(rank, channel, tuple)`` items ``parts`` select, by rank.
+
+    ``parts`` are ``(slot, wanted)`` pairs: a producer's output slot and the
+    channel ids to keep from it (``None``: everything it emitted).  Within
+    one rank only one producer feeds any one consumer (the rank test), so a
+    stable sort of the concatenation by rank keeps each producer's emission
+    order.
+    """
+    if len(parts) == 1:
+        slot, wanted = parts[0]
+        items = slots[slot]
+        if wanted is None or not items:
+            return items
+        return [item for item in items if item[1].channel_id in wanted]
+    pieces = []
+    for slot, wanted in parts:
+        items = slots[slot]
+        if items and wanted is not None:
+            items = [item for item in items if item[1].channel_id in wanted]
+        if items:
+            pieces.append(items)
+    if len(pieces) == 1:
+        return pieces[0]
+    return sorted(chain.from_iterable(pieces), key=_RANK)
+
+
+class _WindowSchedule:
+    """Ranked dispatch of one source group, built once per entry set.
+
+    A window's *slots* hold ``(rank, channel, tuple)`` lists: one per entry
+    channel (``entry_slot``), then one per step, appended as the steps run.
+    ``steps`` are ``(parts, process_ranked, record)`` in topological order
+    over the executors reachable from the entries (``record`` is the m-op's
+    telemetry record, or None when unobserved).  ``sinks`` maps each slot to
+    the handlers of the sink channels it alone carries; channels sunk by a
+    query with several reachable sink channels go to ``ordered_parts``
+    instead, handled tuple by tuple in rank order.  ``taps`` pairs each
+    reachable tapped channel with the parts carrying it.
+    """
+
+    __slots__ = (
+        "entry_slot",
+        "singleton",
+        "steps",
+        "sinks",
+        "ordered_parts",
+        "ordered_handlers",
+        "taps",
+    )
+
+    def __init__(self, engine: "StreamEngine", entries: dict[int, Channel]):
+        key = frozenset(entries)
+        reach: set[int] = set()
+        for channel_id in key:
+            reach |= engine._reach(channel_id)
+        self.entry_slot = {
+            channel_id: slot for slot, channel_id in enumerate(sorted(key))
+        }
+        self.singleton = all(
+            channel.capacity == 1 for channel in entries.values()
+        )
+        producer = engine._channel_producer
+        output_channels = engine._exec_output_channels
+        slot_of_exec: dict[int, int] = {}
+
+        def parts_for(channels) -> tuple:
+            parts = [
+                (self.entry_slot[channel_id], None)
+                for channel_id in sorted(channels & key)
+            ]
+            wanted_by_index: dict[int, set[int]] = {}
+            for channel_id in channels:
+                index = producer.get(channel_id)
+                if index in slot_of_exec:
+                    wanted_by_index.setdefault(index, set()).add(channel_id)
+            for index in sorted(wanted_by_index, key=slot_of_exec.get):
+                wanted = wanted_by_index[index]
+                parts.append(
+                    (
+                        slot_of_exec[index],
+                        None
+                        if wanted >= set(output_channels[index])
+                        else frozenset(wanted),
+                    )
+                )
+            return tuple(parts)
+
+        steps = []
+        for index in engine._topological_order():
+            inputs = engine._exec_input_channels[index] & reach
+            if not inputs:
+                continue
+            steps.append(
+                (
+                    parts_for(inputs),
+                    engine._executors[index].process_ranked,
+                    engine._exec_records[index],
+                )
+            )
+            slot_of_exec[index] = len(key) + len(steps) - 1
+        self.steps = tuple(steps)
+        ordered: set[int] = set()
+        for sink_channels in engine._multi_sink_queries:
+            reached = sink_channels & reach
+            if len(reached) > 1:
+                ordered |= reached
+        handlers = {
+            channel_id: entry[0]
+            for channel_id, entry in engine._channel_table.items()
+            if channel_id in reach and entry[0] is not None
+        }
+        # slot -> {channel_id: handler} for channels one slot carries whole.
+        by_slot: dict[int, dict] = {}
+        for channel_id in sorted(handlers):
+            parts = parts_for({channel_id})
+            if channel_id in ordered or len(parts) > 1:
+                ordered.add(channel_id)
+            else:
+                by_slot.setdefault(parts[0][0], {})[channel_id] = handlers[
+                    channel_id
+                ]
+        self.sinks = tuple(sorted(by_slot.items()))
+        self.ordered_parts = parts_for(ordered) if ordered else ()
+        self.ordered_handlers = {
+            channel_id: handlers[channel_id] for channel_id in ordered
+        }
+        self.taps = tuple(
+            (parts_for({channel_id}), tap)
+            for channel_id, tap in engine._relay_taps.items()
+            if channel_id in reach
+        )
+
+
 class StreamEngine:
     """Executes one query plan over a set of sources."""
 
@@ -199,7 +368,18 @@ class StreamEngine:
         self._exec_output_channels: list[tuple[int, ...]] = []
         self._multi_input_execs: tuple[int, ...] = ()
         self._multi_sink_queries: tuple[frozenset[int], ...] = ()
+        # channel_id -> index of the executor emitting on it (source
+        # channels have none); the "producer" of the rank test.
+        self._channel_producer: dict[int, int] = {}
+        # Per executor: its MOpRecord when observing, else None.
+        self._exec_records: list = []
         self._batchable_cache: dict[int, bool] = {}
+        self._rankable_cache: dict[int, bool] = {}
+        # Executor indexes, producers before consumers; built lazily.
+        self._topo_order: Optional[tuple[int, ...]] = None
+        # frozenset(entry channel ids) -> _WindowSchedule, or None where the
+        # group drains in per-channel runs; built lazily per source group.
+        self._window_cache: dict[frozenset, Optional[_WindowSchedule]] = {}
         # channel_id -> component root; built by the first batched ``run``.
         self._component_cache: Optional[dict[int, int]] = None
         # channel_id -> RelayTap; re-installed after every table rebuild so
@@ -303,13 +483,13 @@ class StreamEngine:
         observer = self.observer
         observed_channel_table: dict[int, tuple] = {}
         observed_routing: dict[int, tuple] = {}
+        exec_records: list = [None] * len(executors)
         if observer is not None:
             observer.refresh(plan)
-            mop_ids = [mop.mop_id for mop in plan.mops]
+            exec_records = [observer.record_for(mop.mop_id) for mop in plan.mops]
             observed_routing = {
                 channel_id: tuple(
-                    (executors[index], observer.record_for(mop_ids[index]))
-                    for index in indexes
+                    (executors[index], exec_records[index]) for index in indexes
                 )
                 for channel_id, indexes in consumer_indexes.items()
             }
@@ -317,10 +497,7 @@ class StreamEngine:
                 observed_channel_table[channel_id] = (
                     handler,
                     tuple(
-                        (
-                            executors[index].process_batch,
-                            observer.record_for(mop_ids[index]),
-                        )
+                        (executors[index].process_batch, exec_records[index])
                         for index in consumer_indexes.get(channel_id, ())
                     ),
                 )
@@ -350,7 +527,15 @@ class StreamEngine:
             for channels in sink_channels_by_query.values()
             if len(channels) > 1
         )
+        self._channel_producer = {
+            channel_id: index
+            for index, channels in enumerate(exec_output_channels)
+            for channel_id in channels
+        }
+        self._exec_records = exec_records
         self._batchable_cache = {}
+        self._rankable_cache = {}
+        self._topo_order = None
         self._component_cache = None
         self._apply_relay_taps()
         return reused, built
@@ -394,6 +579,7 @@ class StreamEngine:
 
     def _apply_relay_taps(self) -> None:
         """Splice taps into the freshly built dispatch tables (idempotent)."""
+        self._window_cache = {}  # window schedules carry the tap set
         for channel_id, tap in self._relay_taps.items():
             consumers = self._routing.setdefault(channel_id, [])
             if tap not in consumers:
@@ -541,6 +727,53 @@ class StreamEngine:
         cached = self._batchable_cache.get(channel_id)
         if cached is not None:
             return cached
+        reach = self._reach(channel_id)
+        input_channels = self._exec_input_channels
+        safe = all(
+            len(input_channels[index] & reach) <= 1
+            for index in self._multi_input_execs
+        ) and all(
+            len(sink_channels & reach) <= 1
+            for sink_channels in self._multi_sink_queries
+        )
+        self._batchable_cache[channel_id] = safe
+        return safe
+
+    def channel_rankable(self, channel_id: int) -> bool:
+        """Whether events entering on ``channel_id`` may be window-dispatched.
+
+        The rank test (module docstring): no executor and no query reads
+        tuples from two or more *producers* reachable from the entry — the
+        producer of a channel being the entry itself or the one executor
+        emitting on it.  Cached until the next table rebuild.
+        """
+        cached = self._rankable_cache.get(channel_id)
+        if cached is not None:
+            return cached
+        reach = self._reach(channel_id)
+        producer = self._channel_producer
+
+        def producers(channels: frozenset[int]) -> int:
+            return len(
+                {
+                    producer[other] if other != channel_id else None
+                    for other in channels & reach
+                }
+            )
+
+        input_channels = self._exec_input_channels
+        safe = all(
+            producers(input_channels[index]) <= 1
+            for index in self._multi_input_execs
+        ) and all(
+            producers(sink_channels) <= 1
+            for sink_channels in self._multi_sink_queries
+        )
+        self._rankable_cache[channel_id] = safe
+        return safe
+
+    def _reach(self, channel_id: int) -> set[int]:
+        """Every channel a tuple entering on ``channel_id`` can reach."""
         reach = {channel_id}
         stack = [channel_id]
         consumer_indexes = self._consumer_indexes
@@ -552,19 +785,60 @@ class StreamEngine:
                     if out not in reach:
                         reach.add(out)
                         stack.append(out)
-        safe = True
-        input_channels = self._exec_input_channels
-        for index in self._multi_input_execs:
-            if len(input_channels[index] & reach) > 1:
-                safe = False
-                break
-        if safe:
-            for sink_channels in self._multi_sink_queries:
-                if len(sink_channels & reach) > 1:
-                    safe = False
-                    break
-        self._batchable_cache[channel_id] = safe
-        return safe
+        return reach
+
+    def _topological_order(self) -> tuple[int, ...]:
+        """Executor indexes, every producer before its consumers (ties in
+        plan order); computed lazily and cached until the next rebuild."""
+        if self._topo_order is not None:
+            return self._topo_order
+        producer = self._channel_producer
+        dependents: list[list[int]] = [[] for __ in self._executors]
+        waiting: list[int] = []
+        for index, channels in enumerate(self._exec_input_channels):
+            upstream = {producer[c] for c in channels if c in producer}
+            waiting.append(len(upstream))
+            for other in upstream:
+                dependents[other].append(index)
+        ready = [index for index, count in enumerate(waiting) if not count]
+        order: list[int] = []
+        while ready:
+            index = heapq.heappop(ready)
+            order.append(index)
+            for dependent in dependents[index]:
+                waiting[dependent] -= 1
+                if not waiting[dependent]:
+                    heapq.heappush(ready, dependent)
+        if len(order) != len(waiting):
+            raise PlanError("the m-op graph has a cycle")
+        self._topo_order = tuple(order)
+        return self._topo_order
+
+    def _window_schedule(self, group) -> Optional["_WindowSchedule"]:
+        """How the source ``group`` drains: ``None`` for per-channel runs,
+        else the ranked-window schedule over the group's entry channels.
+
+        A single entry channel that passes the diamond test keeps runs;
+        anything else that interleaves drains in windows when every entry
+        passes the rank test, and in runs (with the per-tuple fallback)
+        when one does not.
+        """
+        entries = {
+            channel.channel_id: channel
+            for source in group
+            for channel in source.channels()
+        }
+        key = frozenset(entries)
+        if key in self._window_cache:
+            return self._window_cache[key]
+        if len(key) == 1 and self.channel_batchable(next(iter(key))):
+            schedule = None
+        elif all(self.channel_rankable(channel_id) for channel_id in key):
+            schedule = _WindowSchedule(self, entries)
+        else:
+            schedule = None
+        self._window_cache[key] = schedule
+        return schedule
 
     def channel_components(self) -> dict[int, int]:
         """channel_id -> component, for every channel the tables know.
@@ -613,10 +887,10 @@ class StreamEngine:
         Batched dispatch follows the ordering contract of
         :mod:`repro.streams.sources`: global timestamp order within a
         component (:meth:`channel_components`); components are drained one
-        after another, so a single-source component gets full-length runs.
-        The per-tuple reference path and warm-up runs — whose
-        warmed/measured split is defined on the global order — keep one
-        global merge.
+        after another, so a single-source component gets full-length runs
+        and an interleaved one ranked windows (module docstring).  The
+        per-tuple reference path and warm-up runs — whose warmed/measured
+        split is defined on the global order — keep one global merge.
 
         ``warmup_events`` logical events are processed before the clock and
         the counters start — the paper warms the JIT the same way ("we first
@@ -631,14 +905,13 @@ class StreamEngine:
         """
         if not self.batching or sample_state_every:
             return self._run_per_tuple(sources, warmup_events, sample_state_every)
-        groups = (
-            [sources]
-            if warmup_events
-            else group_sources(sources, self.channel_components())
-        )
-        runs = chain.from_iterable(
-            merge_source_runs(group, self.max_batch) for group in groups
-        )
+        if warmup_events:
+            runs = merge_source_runs(sources, self.max_batch)
+        else:
+            runs = chain.from_iterable(
+                self._group_runs(group)
+                for group in group_sources(sources, self.channel_components())
+            )
         pending: Optional[tuple[Channel, list[ChannelTuple]]] = None
         if warmup_events:
             consumed = 0
@@ -665,7 +938,9 @@ class StreamEngine:
         if pending is not None:
             self._run_batch(pending[0], pending[1], stats)
         for channel, batch in runs:
-            if type(batch) is ColumnBatch:
+            if type(channel) is _WindowSchedule:
+                self._run_window(channel, batch, stats)
+            elif type(batch) is ColumnBatch:
                 # Columnar-native source (ColumnRunSource): feed the packed
                 # run straight to the vectorized entry; elapsed_seconds is
                 # overwritten below by this run's own wall clock.
@@ -676,6 +951,115 @@ class StreamEngine:
         if self.observer is not None:
             self.observer.sample_state_now(self)
         return stats
+
+    def _group_runs(self, group):
+        """One source group's merge: per-channel runs, or ranked windows
+        headed by their schedule in place of a channel."""
+        schedule = self._window_schedule(group)
+        if schedule is None:
+            return merge_source_runs(group, self.max_batch)
+        return (
+            (schedule, window)
+            for __, window in merge_source_runs(
+                group, self.max_batch, windows=True
+            )
+        )
+
+    def _run_window(
+        self,
+        schedule: "_WindowSchedule",
+        window: list[tuple[Channel, ChannelTuple]],
+        stats: RunStats,
+    ) -> None:
+        """Ranked dispatch of one window (module docstring).
+
+        Every event is tagged with its rank; each executor of the schedule
+        runs once, in topological order, over its inputs gathered from
+        their producers' outputs and merged by rank; sinks, then relay
+        taps, run last over the rank-ordered tuples of their channels.
+        """
+        observer = self.observer
+        if observer is not None:
+            observer.maybe_sample_state(self)
+            sample_every = observer.sample_every
+        count = len(window)
+        stats.physical_input_events += count
+        if schedule.singleton:
+            stats.input_events += count
+        else:
+            stats.input_events += sum(
+                channel_tuple.membership.bit_count()
+                for __, channel_tuple in window
+            )
+        started = time.perf_counter() if self.track_latency else 0.0
+        entry_slot = schedule.entry_slot
+        if len(entry_slot) == 1:
+            slots = [
+                [
+                    (rank, channel, channel_tuple)
+                    for rank, (channel, channel_tuple) in enumerate(window)
+                ]
+            ]
+        else:
+            slots = [[] for __ in entry_slot]
+            appends = {
+                channel_id: slots[slot].append
+                for channel_id, slot in entry_slot.items()
+            }
+            for rank, (channel, channel_tuple) in enumerate(window):
+                appends[channel.channel_id]((rank, channel, channel_tuple))
+        physical = count
+        for parts, method, record in schedule.steps:
+            items = _gather(slots, parts)
+            if not items:
+                slots.append(items)
+                continue
+            if record is None:
+                outputs = method(items)
+            else:
+                record.batches += 1
+                record.tuples_in += len(items)
+                if (record.batches + record.per_tuple_calls) % sample_every:
+                    outputs = method(items)
+                else:
+                    sampled_at = time.perf_counter()
+                    outputs = method(items)
+                    record.sampled_seconds += time.perf_counter() - sampled_at
+                    record.sampled_calls += 1
+                record.tuples_out += len(outputs)
+            slots.append(outputs)
+            physical += len(outputs)
+        stats.physical_events += physical
+        for slot, handlers in schedule.sinks:
+            # One pass buckets the slot's tuples per sink channel; each
+            # channel has one producer, so its bucket is in rank order.
+            buckets: dict[int, list[ChannelTuple]] = {}
+            for __, channel, channel_tuple in slots[slot]:
+                channel_id = channel.channel_id
+                if channel_id in handlers:
+                    bucket = buckets.get(channel_id)
+                    if bucket is None:
+                        buckets[channel_id] = [channel_tuple]
+                    else:
+                        bucket.append(channel_tuple)
+            for channel_id, tuples in buckets.items():
+                handlers[channel_id](tuples, stats, started)
+        if schedule.ordered_parts:
+            # Queries with sinks on several channels (and channels fed by
+            # more than one slot): one handler call per tuple, in rank
+            # order across those channels.
+            handlers = schedule.ordered_handlers
+            for __, channel, channel_tuple in _gather(
+                slots, schedule.ordered_parts
+            ):
+                handlers[channel.channel_id]([channel_tuple], stats, started)
+        for parts, tap in schedule.taps:
+            items = _gather(slots, parts)
+            if items:
+                if observer is not None:
+                    tap.record.batches += 1
+                    tap.record.tuples_in += len(items)
+                tap.process_batch(tap.channel, [item[2] for item in items])
 
     def _run_batch(
         self, channel: Channel, batch: list[ChannelTuple], stats: RunStats

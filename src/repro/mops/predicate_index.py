@@ -213,6 +213,26 @@ class PredicateIndexExecutor(MOpExecutor):
                 bucket.append(ChannelTuple(tuple_, out_mask))
         return order
 
+    def process_ranked(self, items) -> list:
+        """Ranked-window probe: the fast-probe routes of :meth:`process_batch`
+        per item, each output tagged with its input's rank.  Shapes the fast
+        probe does not cover take the per-tuple default."""
+        fast = self._fast_probe
+        if not items or fast is None or items[0][1].capacity != 1:
+            # With a fast probe every item arrives on its one input channel.
+            return super().process_ranked(items)
+        __, attr_position, routes_by_constant = fast
+        outputs = []
+        append = outputs.append
+        for rank, __, channel_tuple in items:
+            tuple_ = channel_tuple.tuple
+            routes = routes_by_constant.get(tuple_.values[attr_position])
+            if routes is None:
+                continue
+            for out_channel, out_mask in routes:
+                append((rank, out_channel, ChannelTuple(tuple_, out_mask)))
+        return outputs
+
     def process_batch(
         self, channel: Channel, batch
     ) -> list[tuple[Channel, list[ChannelTuple]]]:

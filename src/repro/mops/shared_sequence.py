@@ -204,41 +204,97 @@ class IndexedSequenceExecutor(MOpExecutor):
             slot = (left_channel.channel_id, left_channel.position_of(left_stream))
             self._left_routes[slot].append((group, 1 << member))
         self._groups = list(groups.values())
+        #: (channel_id, membership) -> :meth:`_inserts` memo.
+        self._inserts_by_mask: dict[tuple[int, int], tuple] = {}
+
+    def _inserts(self, channel_id: int, membership: int) -> tuple:
+        """``(insert, member bit)`` for the left routes of every set bit of
+        ``membership`` on ``channel_id``, resolved once per distinct mask."""
+        key = (channel_id, membership)
+        inserts = self._inserts_by_mask.get(key)
+        if inserts is None:
+            resolved = []
+            remaining = membership
+            position = 0
+            while remaining:
+                if remaining & 1:
+                    for group, member_bit in self._left_routes.get(
+                        (channel_id, position), ()
+                    ):
+                        resolved.append((group.executor.insert, member_bit))
+                remaining >>= 1
+                position += 1
+            inserts = self._inserts_by_mask[key] = tuple(resolved)
+        return inserts
+
+    def _match(self, relevant: list, tuple_) -> list:
+        """``(output stream, tuple)`` emissions of the groups ``relevant``
+        to a right event, attributed to each matched member query."""
+        emissions = []
+        for group in relevant:
+            for output, member_mask in group.executor.match(tuple_):
+                outputs = group.outputs
+                member = 0
+                while member_mask:
+                    if member_mask & 1:
+                        emissions.append((outputs[member], output))
+                    member_mask >>= 1
+                    member += 1
+        return emissions
 
     def process(
         self, channel: Channel, channel_tuple: ChannelTuple
     ) -> list[tuple[Channel, ChannelTuple]]:
-        emissions = []
         membership = channel_tuple.membership
         tuple_ = channel_tuple.tuple
         channel_id = channel.channel_id
         # Left inputs: route by originating stream to the owning group.
-        remaining = membership
-        position = 0
-        while remaining:
-            if remaining & 1:
-                for group, member_bit in self._left_routes.get(
-                    (channel_id, position), ()
-                ):
-                    group.executor.insert(tuple_, mask=member_bit)
-            remaining >>= 1
-            position += 1
+        for insert, member_bit in self._inserts(channel_id, membership):
+            insert(tuple_, member_bit)
         # Right events: one hash lookup selects the relevant groups.
         right_id, right_bit = self._right_slot
-        if channel_id == right_id and membership & right_bit:
-            relevant = self._by_constant.get(tuple_.values[self._index_position])
-            if relevant:
-                for group in relevant:
-                    for output, member_mask in group.executor.match(tuple_):
-                        outputs = group.outputs
-                        remaining_members = member_mask
-                        member = 0
-                        while remaining_members:
-                            if remaining_members & 1:
-                                emissions.append((outputs[member], output))
-                            remaining_members >>= 1
-                            member += 1
-        return self._collector.emit(emissions)
+        if channel_id != right_id or not membership & right_bit:
+            return []
+        relevant = self._by_constant.get(tuple_.values[self._index_position])
+        if not relevant:
+            return []
+        return self._collector.emit(self._match(relevant, tuple_))
+
+    def process_ranked(self, items) -> list:
+        """Ranked-window dispatch: :meth:`process` per item, each output
+        tagged with the item's rank, with the per-item lookups hoisted."""
+        inserts_by_mask = self._inserts_by_mask
+        right_id, right_bit = self._right_slot
+        by_constant = self._by_constant
+        index_position = self._index_position
+        collector = self._collector
+        outputs = []
+        append = outputs.append
+        for rank, channel, channel_tuple in items:
+            channel_id = channel.channel_id
+            membership = channel_tuple.membership
+            tuple_ = channel_tuple.tuple
+            inserts = inserts_by_mask.get((channel_id, membership))
+            if inserts is None:
+                inserts = self._inserts(channel_id, membership)
+            for insert, member_bit in inserts:
+                insert(tuple_, member_bit)
+            if channel_id != right_id or not membership & right_bit:
+                continue
+            relevant = by_constant.get(tuple_.values[index_position])
+            if not relevant:
+                continue
+            emissions = self._match(relevant, tuple_)
+            if len(emissions) == 1:
+                # What emit() makes of a single emission, without its
+                # content-merging bookkeeping.
+                stream, output = emissions[0]
+                out_channel, bit = collector.route(stream)
+                append((rank, out_channel, ChannelTuple(output, bit)))
+            elif emissions:
+                for out_channel, out_tuple in collector.emit(emissions):
+                    append((rank, out_channel, out_tuple))
+        return outputs
 
     @property
     def state_size(self) -> int:

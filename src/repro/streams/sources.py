@@ -24,6 +24,15 @@ exactly; the engine dispatches each run as one batch, amortizing per-event
 interpreter overhead.  When a single source remains live, the merge bypasses
 the heap entirely and drains the iterator in a tight loop — the case for
 every single-source component.
+
+A group whose channels interleave tuple by tuple (an ``S ; T`` sequence fed
+by alternating S and T events) would cut every run to length one, so for
+such groups the engine asks for *windows* instead: ``windows=True`` cuts the
+same ordered sequence into chunks of up to ``max_run`` consecutive events
+spanning all of the group's channels.  Windows obey the same ordering
+contract — flattening them reproduces :func:`merge_sources`, tie-breaks
+included — and an event's position in its window is its *rank*, the key
+the engine's ranked dispatch orders every derived tuple by.
 """
 
 from __future__ import annotations
@@ -201,16 +210,23 @@ def group_sources(
 
 
 def merge_source_runs(
-    sources: Sequence[StreamSource], max_run: int = 1024
+    sources: Sequence[StreamSource], max_run: int = 1024, windows: bool = False
 ) -> Iterator[tuple[Channel, list[ChannelTuple]]]:
     """K-way merge coalesced into same-channel runs of at most ``max_run``.
 
     Event-for-event equivalent to :func:`merge_sources` (same order, same
     tie-breaks); consecutive events on the same channel are grouped into one
     ``(channel, [tuples])`` run so the engine can dispatch them as a batch.
+
+    With ``windows`` the sequence is cut into windows instead (module
+    docstring): each is yielded as ``(None, [(channel, tuple), ...])`` —
+    ``None`` because a window has no single channel.
     """
     if max_run < 1:
         raise ChannelError(f"max_run must be at least 1, got {max_run}")
+    if windows:
+        yield from _merge_windows(sources, max_run)
+        return
     if len(sources) == 1 and hasattr(sources[0], "iter_runs"):
         yield from sources[0].iter_runs(max_run)
         return
@@ -272,3 +288,62 @@ def merge_source_runs(
                     break
                 run.append(next_ct)
         yield channel, run
+
+
+def _merge_windows(
+    sources: Sequence[StreamSource], max_run: int
+) -> Iterator[tuple[None, list[tuple[Channel, ChannelTuple]]]]:
+    """The :func:`merge_sources` order cut into windows of ``max_run``.
+
+    Each source holds at most one heap entry, so ``(ts, position)`` is
+    unique in the heap and the merge never needs the arrival counter; an
+    event that stays the minimum costs one ``heapreplace``.  A lone source
+    (a routed replay spanning several channels) is already in merge order
+    and is re-chunked from its runs.
+    """
+    window: list[tuple[Channel, ChannelTuple]] = []
+    if len(sources) == 1 and hasattr(sources[0], "iter_runs"):
+        for channel, batch in sources[0].iter_runs(max_run):
+            if type(batch) is ColumnBatch:
+                batch = batch.channel_tuples()
+            window.extend([(channel, ct) for ct in batch])
+            while len(window) >= max_run:
+                yield None, window[:max_run]
+                window = window[max_run:]
+        if window:
+            yield None, window
+        return
+    iterators = [iter(source) for source in sources]
+    heap = []
+    for position, iterator in enumerate(iterators):
+        first = next(iterator, None)
+        if first is not None:
+            heap.append((first[1].tuple.ts, position, first))
+    heapq.heapify(heap)
+    append = window.append
+    while len(heap) > 1:
+        __, position, event = heap[0]
+        append(event)
+        following = next(iterators[position], None)
+        if following is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(
+                heap, (following[1].tuple.ts, position, following)
+            )
+        if len(window) == max_run:
+            yield None, window
+            window = []
+            append = window.append
+    if heap:
+        # Single live source: drain straight off its iterator.
+        __, position, event = heap[0]
+        rest = itertools.chain((event,), iterators[position])
+        while True:
+            window.extend(itertools.islice(rest, max_run - len(window)))
+            if len(window) < max_run:
+                break
+            yield None, window
+            window = []
+    if window:
+        yield None, window

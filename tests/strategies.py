@@ -137,6 +137,48 @@ def two_component_plan():
     return plan, (s, t, u)
 
 
+def w1_plan(second_attribute: bool = True):
+    """Paper Workload 1 in miniature: ``σθ1(S) ;θ2∧θ3 T`` queries through
+    the optimizer — one σ-index fanning its σ channels into one ;-index that
+    also reads T.  With ``second_attribute`` one σ predicate reads ``a1``,
+    so a single S event can hit two σ channels.  ``q_pair`` sinks on a σ
+    channel and directly on T.  Handles are ``(S, T)``."""
+    plan = QueryPlan()
+    s = plan.add_source("S", EVENT_SCHEMA)
+    t = plan.add_source("T", EVENT_SCHEMA)
+    selections = [("a0", 1), ("a0", 2), ("a0", 3)]
+    if second_attribute:
+        selections.append(("a1", 2))
+    for attribute, constant in selections:
+        for theta3, window in ((1, 3), (2, 6)):
+            query_id = f"q_{attribute}{constant}_{theta3}"
+            sel = plan.add_operator(
+                Selection(Comparison(attr(attribute), "==", lit(constant))),
+                [s],
+                query_id=query_id,
+            )
+            seq = plan.add_operator(
+                Sequence(
+                    conjunction(
+                        [
+                            DurationWithin(window),
+                            Comparison(right("a0"), "==", lit(theta3)),
+                        ]
+                    )
+                ),
+                [sel, t],
+                query_id=query_id,
+            )
+            plan.mark_output(seq, query_id)
+    pair = plan.add_operator(
+        Selection(Comparison(attr("a0"), "==", lit(2))), [s], query_id="q_pair"
+    )
+    plan.mark_output(pair, "q_pair")
+    plan.mark_output(t, "q_pair")
+    Optimizer().optimize(plan)
+    return plan, (s, t)
+
+
 def independent_components_plan(k: int):
     """``k`` independent σ-components (sources ``A0..``), the mixed S, T
     component and one query ``q_both`` with a sink in each of two

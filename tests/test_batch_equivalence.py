@@ -18,7 +18,7 @@ from repro.core.optimizer import Optimizer
 from repro.core.plan import QueryPlan
 from repro.engine.executor import StreamEngine
 from repro.engine.migration import migrate_engine
-from repro.operators.expressions import attr, lit
+from repro.operators.expressions import attr, lit, right
 from repro.operators.predicates import Comparison, DurationWithin, conjunction
 from repro.operators.select import Selection
 from repro.operators.sequence import Sequence
@@ -45,6 +45,7 @@ from strategies import (
     mixed_plan,
     split_entries,
     two_component_plan,
+    w1_plan,
 )
 
 
@@ -133,6 +134,54 @@ class TestMergeSourceRuns:
             (channel.channel_id, ct)
             for channel, run in merge_source_runs(sources(), max_run)
             for ct in run
+        ]
+        assert flattened == flat
+
+    @given(
+        entries=event_entries(n_streams=3, max_size=40, ties=True),
+        n_sources=st.integers(1, 3),
+        columnar=st.booleans(),
+        max_run=st.integers(1, 8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_windows_flatten_to_merge_sources(
+        self, entries, n_sources, columnar, max_run
+    ):
+        # Ties across sources exercise the position tie-break; one source
+        # takes the re-chunked iter_runs path, several the heap.
+        plan = QueryPlan()
+        handles = [
+            plan.add_source(f"A{index}", EVENT_SCHEMA)
+            for index in range(n_sources)
+        ]
+        by_stream = split_entries(
+            [(target % n_sources, *rest) for target, *rest in entries],
+            n_sources,
+        )
+
+        def source(handle, tuples):
+            channel = plan.channel_of(handle)
+            if columnar and tuples:
+                return ColumnRunSource(
+                    channel,
+                    ColumnBatch.from_rows(EVENT_SCHEMA, tuples, channel.full_mask),
+                )
+            return StreamSource(channel, tuples)
+
+        sources = lambda: [
+            source(handle, tuples) for handle, tuples in zip(handles, by_stream)
+        ]
+        flat = [
+            (channel.channel_id, ct) for channel, ct in merge_sources(sources())
+        ]
+        windows = list(merge_source_runs(sources(), max_run, windows=True))
+        assert all(head is None for head, __ in windows)
+        assert all(0 < len(window) <= max_run for __, window in windows)
+        assert all(len(window) == max_run for __, window in windows[:-1])
+        flattened = [
+            (channel.channel_id, ct)
+            for __, window in windows
+            for channel, ct in window
         ]
         assert flattened == flat
 
@@ -248,6 +297,8 @@ class TestHybridEquivalence:
         plan, s = plan_factory()
         engine = StreamEngine(plan)
         assert not engine.channel_batchable(plan.channel_of(s).channel_id)
+        # Unoptimized, each selection is its own m-op: two producers.
+        assert not engine.channel_rankable(plan.channel_of(s).channel_id)
         tuples = [StreamTuple(schema, (ts % 3, ts), ts) for ts in range(40)]
         per_tuple, batched = run_both_ways(
             plan_factory,
@@ -264,6 +315,13 @@ class TestHybridEquivalence:
         engine = StreamEngine(plan)
         cpu_channel = plan.channel_of(name_map["CPU"])
         assert not engine.channel_batchable(cpu_channel.channel_id)
+        # α(CPU) and σ(α(CPU)) come from two producers (the α and σ
+        # m-ops), so ranks cannot order the µ-op's inputs either.
+        assert not engine.channel_rankable(cpu_channel.channel_id)
+        dispatched = spy_run_lengths(engine)
+        engine.run(workload.sources(plan, name_map, 20))
+        assert dispatched
+        assert all(channel is not None for channel, __ in dispatched)
 
 
 # -- churn: migration on batch boundaries -------------------------------------------
@@ -369,31 +427,41 @@ class TestRandomInterleavings:
 
 
 def spy_run_lengths(engine):
-    """Record ``(channel_id, run length)`` of every run ``run`` dispatches."""
+    """Record ``(channel_id, run length)`` of every run ``run`` dispatches,
+    and ``(None, window length)`` of every ranked window."""
     dispatched = []
     run_batch = engine._run_batch
+    run_window = engine._run_window
 
     def spy(channel, batch, stats):
         dispatched.append((channel.channel_id, len(batch)))
         run_batch(channel, batch, stats)
 
+    def spy_window(schedule, window, stats):
+        dispatched.append((None, len(window)))
+        run_window(schedule, window, stats)
+
     engine._run_batch = spy
+    engine._run_window = spy_window
     return dispatched
 
 
 class TestComponentGroupedMerging:
     """``run`` orders only what shares state: sources merge tuple-by-tuple
-    within a component, components drain one after another — and nothing a
-    query can observe distinguishes that from the global merge."""
+    within a component (interleaved components as ranked windows),
+    components drain one after another — and nothing a query can observe
+    distinguishes that from the global merge."""
 
     @given(
+        shape=st.sampled_from(["components", "mixed", "w1", "w1_a0"]),
         k=st.integers(1, 4),
         entries=event_entries(n_streams=8, max_size=60, ties=True),
         order=st.permutations(range(8)),
         columnar=st.booleans(),
-        max_batch=max_batches,
+        max_batch=st.integers(1, 7),
     )
     @example(  # q_both's two sinks (X, Y) and the S;T sequence, with ts ties
+        shape="components",
         k=2,
         entries=[(6, 1, 0, 1), (7, 1, 0, 1), (6, 2, 0, 1), (4, 1, 0, 0),
                  (5, 1, 0, 0), (5, 1, 1, 1), (0, 1, 0, 0), (1, 2, 0, 1)],
@@ -401,19 +469,36 @@ class TestComponentGroupedMerging:
         columnar=False,
         max_batch=4,
     )
-    @settings(max_examples=150, deadline=None)
+    @example(  # one S event hitting two σ channels, a window split in a tie
+        shape="w1",
+        k=1,
+        entries=[(0, 1, 0, 0), (0, 2, 2, 1), (1, 2, 0, 0), (1, 1, 0, 1),
+                 (0, 3, 2, 0), (1, 2, 1, 0), (1, 1, 3, 1)],
+        order=(1, 0, 2, 3, 4, 5, 6, 7),
+        columnar=False,
+        max_batch=2,
+    )
+    @settings(max_examples=200, deadline=None)
     def test_grouped_equals_per_tuple(
-        self, k, entries, order, columnar, max_batch
+        self, shape, k, entries, order, columnar, max_batch
     ):
-        # Targets 0..3 fold onto the k σ-sources, 4..7 are S, T, X, Y — so
-        # half the events land where order is observable, whatever k is.
-        n_streams = k + 4
+        if shape == "components":
+            # Targets 0..3 fold onto the k σ-sources, 4..7 are S, T, X, Y —
+            # so half the events land where order is observable.
+            factory = lambda: independent_components_plan(k)
+            n_streams = k + 4
+            fold = lambda target: target % k if target < 4 else k + target - 4
+        else:
+            # The S, T component alone: it drains as ranked windows.
+            factory = (
+                mixed_plan
+                if shape == "mixed"
+                else lambda: w1_plan(second_attribute=shape == "w1")
+            )
+            n_streams = 2
+            fold = lambda target: target % 2
         by_stream = split_entries(
-            [
-                (target % k if target < 4 else k + target - 4, *rest)
-                for target, *rest in entries
-            ],
-            n_streams,
+            [(fold(target), *rest) for target, *rest in entries], n_streams
         )
 
         def sources_of(plan, handles):
@@ -432,10 +517,20 @@ class TestComponentGroupedMerging:
                     built.append(StreamSource(channel, tuples))
             return built
 
-        per_tuple, batched = run_both_ways(
-            lambda: independent_components_plan(k), sources_of, max_batch
+        plan, handles = factory()
+        reference = StreamEngine(plan, capture_outputs=True, batching=False)
+        expected = reference.run(sources_of(plan, handles))
+        plan, handles = factory()
+        engine = StreamEngine(plan, capture_outputs=True, max_batch=max_batch)
+        dispatched = spy_run_lengths(engine)
+        stats = engine.run(sources_of(plan, handles))
+        assert_equivalent(
+            (expected, reference.captured), (stats, engine.captured)
         )
-        assert_equivalent(per_tuple, batched)
+        if shape != "components":
+            assert all(channel is None for channel, __ in dispatched)
+            assert sum(length for __, length in dispatched) == len(entries)
+            assert all(length <= max_batch for __, length in dispatched)
 
     def test_components_of_the_plan(self):
         plan, handles = independent_components_plan(2)
@@ -538,11 +633,86 @@ class TestComponentGroupedMerging:
         )
         # Independent: each source drained whole, in full-length runs.
         assert before == [(s, 8), (s, 8), (s, 4), (t, 8), (t, 8), (t, 4)]
-        # Bridged: the second call interleaves S and T tuple by tuple.
-        assert after == [(s, 1), (t, 1)] * 20
+        # Bridged: S and T interleave tuple by tuple, so the second call
+        # drains them together as ranked windows of max_batch events.
+        assert after == [(None, 8)] * 5
         assert reference_stats.outputs_by_query["q_seq"] > 0
         assert_equivalent(
             (reference_stats, reference.captured), (stats, engine.captured)
+        )
+
+
+# -- ranked windows -----------------------------------------------------------------
+
+
+class TestRankedWindows:
+    """The rank test: which groups may drain as rank-ordered windows (the
+    byte-identity property is ``test_grouped_equals_per_tuple``)."""
+
+    @pytest.mark.parametrize("second_attribute", [True, False])
+    def test_rank_test_admits_the_w1_shape(self, second_attribute):
+        # The ;-index reads several σ channels reachable from S — a diamond
+        # to the per-channel test — but all of them from the one σ-index.
+        plan, (s, t) = w1_plan(second_attribute)
+        assert [mop.kind for mop in plan.mops] == ["σ-index", ";-index"]
+        engine = StreamEngine(plan)
+        s_id, t_id = plan.channel_of(s).channel_id, plan.channel_of(t).channel_id
+        assert not engine.channel_batchable(s_id)
+        assert engine.channel_rankable(s_id)
+        assert engine.channel_rankable(t_id)
+
+    def test_sinks_from_two_producers_refuse_windows(self):
+        # q_two sinks on σ(S) and directly on S: at an S event's rank its
+        # outputs come from the σ m-op *and* the entry, whose relative
+        # order only the per-tuple queue fixes.  The S;T group falls back
+        # to per-channel runs.
+        def build():
+            plan = QueryPlan()
+            s = plan.add_source("S", EVENT_SCHEMA)
+            t = plan.add_source("T", EVENT_SCHEMA)
+            sel = plan.add_operator(
+                Selection(Comparison(attr("a0"), "==", lit(1))),
+                [s],
+                query_id="q_two",
+            )
+            plan.mark_output(sel, "q_two")
+            plan.mark_output(s, "q_two")
+            seq = plan.add_operator(
+                Sequence(
+                    conjunction(
+                        [DurationWithin(6), Comparison(right("a0"), "==", lit(1))]
+                    )
+                ),
+                [sel, t],
+                query_id="q_seq",
+            )
+            plan.mark_output(seq, "q_seq")
+            return plan, (s, t)
+
+        plan, (s, t) = build()
+        engine = StreamEngine(plan, capture_outputs=True, max_batch=8)
+        assert not engine.channel_rankable(plan.channel_of(s).channel_id)
+        assert engine.channel_rankable(plan.channel_of(t).channel_id)
+        s_tuples, t_tuples = split_entries(
+            [(ts % 2, ts % 3, ts % 5) for ts in range(60)], 2
+        )
+        sources = lambda plan, handles: [
+            StreamSource(plan.channel_of(handles[0]), s_tuples),
+            StreamSource(plan.channel_of(handles[1]), t_tuples),
+        ]
+        dispatched = spy_run_lengths(engine)
+        stats = engine.run(sources(plan, (s, t)))
+        assert dispatched
+        assert all(channel is not None for channel, __ in dispatched)
+        reference_plan, handles = build()
+        reference = StreamEngine(
+            reference_plan, capture_outputs=True, batching=False
+        )
+        expected = reference.run(sources(reference_plan, handles))
+        assert reference.captured["q_two"]
+        assert reference.captured["q_seq"]
+        assert_equivalent(
+            (expected, reference.captured), (stats, engine.captured)
         )
 
 

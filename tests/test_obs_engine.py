@@ -16,10 +16,13 @@ including records retired by plan rewrites.
 
 import pytest
 
+from repro.engine.executor import StreamEngine
 from repro.obs import to_prometheus
 from repro.runtime import QueryRuntime
 from repro.shard import ShardedRuntime
+from repro.streams.sources import StreamSource
 from repro.workloads.churn import ChurnWorkload, drive, drive_batched
+from strategies import split_entries, w1_plan
 
 
 def churn_workload(seed=11):
@@ -91,6 +94,44 @@ class TestAttributionReconciles:
             record["batches"] or record["per_tuple_calls"]
             for record in touched
         )
+
+
+class TestRankedObservation:
+    """Observed ranked windows: one record bump per executor per window,
+    no per-tuple fallback, and the same reconciliation identity."""
+
+    def _run(self, observe):
+        plan, (s, t) = w1_plan()
+        engine = StreamEngine(
+            plan, capture_outputs=True, observe=observe, max_batch=8
+        )
+        s_tuples, t_tuples = split_entries(
+            [(ts % 2, ts % 4, ts % 3) for ts in range(200)], 2
+        )
+        stats = engine.run(
+            [
+                StreamSource(plan.channel_of(s), s_tuples),
+                StreamSource(plan.channel_of(t), t_tuples),
+            ]
+        )
+        return engine, stats
+
+    def test_ranked_run_reconciles_without_per_tuple_calls(self):
+        engine, stats = self._run(observe=True)
+        records = engine.mop_stats().values()
+        dispatched = [record for record in records if record["tuples_in"]]
+        assert sorted(record["kind"] for record in dispatched) == [
+            ";-index", "σ-index"
+        ]
+        # 200 alternating S/T events: 25 windows of 8, each feeding both.
+        assert all(record["batches"] == 25 for record in dispatched)
+        assert all(record["per_tuple_calls"] == 0 for record in dispatched)
+        mops_out = sum(record["tuples_out"] for record in records)
+        assert mops_out > 0
+        assert stats.physical_events == stats.physical_input_events + mops_out
+        plain, plain_stats = self._run(observe=False)
+        assert engine.captured == plain.captured
+        assert stats.physical_events == plain_stats.physical_events
 
 
 class TestRuntimeTelemetryViews:

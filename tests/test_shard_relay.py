@@ -63,6 +63,34 @@ def bridge_plan(passthrough=False):
     return plan, (s, t)
 
 
+def ranked_bridge_plan():
+    """``S ; T`` feeding four selections: the planner cuts at the
+    sequence's output, so the upstream fragment interleaves S and T (it
+    drains as ranked windows) and taps the bridge it relays downstream."""
+    plan = QueryPlan()
+    s = plan.add_source("S", SCHEMA)
+    t = plan.add_source("T", SCHEMA)
+    seq = plan.add_operator(
+        Sequence(
+            conjunction(
+                [DurationWithin(6), Comparison(right("a0"), "==", lit(1))]
+            )
+        ),
+        [s, t],
+        query_id="q_seq",
+    )
+    plan.mark_output(seq, "q_seq")
+    for threshold in range(0, 200, 50):
+        out = plan.add_operator(
+            Selection(Comparison(attr("a1"), ">", lit(threshold))),
+            [seq],
+            query_id=f"q_down{threshold}",
+        )
+        plan.mark_output(out, f"q_down{threshold}")
+    Optimizer().optimize(plan)
+    return plan, (s, t)
+
+
 def bridge_tuples(count=240):
     """Strictly interleaved distinct timestamps across S and T, so the
     merge order (and therefore sequence pairing) is fully determined."""
@@ -256,6 +284,50 @@ class TestProcessRelayEquivalence:
         )
         run = sharded.run(make_sources(plan, handles, tuples))
         assert run.mode == "process"
+        assert_equivalent(single, sharded, run)
+
+
+class TestRankedRelayTaps:
+    """A tap inside a window-drained fragment receives its channel's slice
+    of every window, in rank order: the downstream fragment sees exactly
+    the bridge tuples — and their order — of the single-engine run."""
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["inline", "process"])
+    @pytest.mark.parametrize("feed", ["local", "router"])
+    def test_tapped_bridge_out_of_ranked_windows(self, feed, parallel):
+        if parallel and not fork_available():
+            pytest.skip("needs fork start method")
+        plan, handles = ranked_bridge_plan()
+        engine = StreamEngine(plan, capture_outputs=True, max_batch=16)
+        single = (
+            engine.run(make_sources(plan, handles, bridge_tuples())),
+            engine.captured,
+        )
+        assert all(
+            single[1].get(f"q_down{threshold}")
+            for threshold in range(0, 200, 50)
+        )
+        plan, handles = ranked_bridge_plan()
+        sharded = ShardedEngine(
+            plan, 2, parallel=parallel, feed=feed, capture_outputs=True,
+            max_batch=16, worker_cap=2,
+        )
+        [edge] = sharded.shard_plan.relays
+        upstream = sharded.engines[edge.from_shard]
+        for handle in handles:
+            assert upstream.channel_rankable(plan.channel_of(handle).channel_id)
+        tapped_windows = []
+        run_window = upstream._run_window
+
+        def spy(schedule, window, stats):
+            tapped_windows.append(bool(schedule.taps))
+            run_window(schedule, window, stats)
+
+        upstream._run_window = spy
+        run = sharded.run(make_sources(plan, handles, bridge_tuples()))
+        assert run.mode == ("process" if parallel else "inline")
+        if not parallel:  # process workers run forked copies of the spy
+            assert tapped_windows and all(tapped_windows)
         assert_equivalent(single, sharded, run)
 
 

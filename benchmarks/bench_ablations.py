@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for RUMOR's sharing mechanisms.
 
 Each benchmark switches one sharing mechanism off and measures the same
 workload, quantifying the contribution of:

@@ -4,7 +4,8 @@ Every driver regenerates one figure of the paper's evaluation: it builds the
 workload, measures the competitors, and returns the plotted series as table
 rows.  Absolute numbers are Python-scale — what must match the paper is the
 *shape*: who wins, by what factor, and how the curves move with the swept
-parameter (see EXPERIMENTS.md for the paper-vs-measured record).
+parameter (the README's "Tests and benchmarks" section lists the commands;
+the "Performance" section records the measured Workload 1 numbers).
 
 Usage::
 

@@ -55,7 +55,6 @@ class RuntimeConfig:
     track_latency: bool = False
     incremental: bool = True
     observe: bool = False
-    max_batch: int = 1024
     #: Process mode: keep per-shard write-ahead logs for crash recovery.
     durable: bool = False
     #: Process mode: checkpoint every N batches (implies ``durable``).
@@ -110,10 +109,6 @@ class RuntimeConfig:
             raise LifecycleError(
                 "resume needs a coordinator journal directory to resume "
                 "from — set journal=DIR (--coordinator-journal DIR)"
-            )
-        if self.max_batch < 1:
-            raise LifecycleError(
-                f"max_batch must be at least 1, got {self.max_batch}"
             )
         return self
 
@@ -182,7 +177,6 @@ def _open_process(config: RuntimeConfig):
         track_latency=config.track_latency,
         incremental=config.incremental,
         observe=config.observe,
-        max_batch=config.max_batch,
         durable=config.durable,
         checkpoint_every=config.checkpoint_every,
         store=store,

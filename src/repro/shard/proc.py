@@ -22,9 +22,15 @@ batch boundaries — is preserved by construction:
   the ring is full, the pickle ``run`` frame for a run that cannot pack
   (schema frames are broadcast to all workers);
 - **command frames** (``register`` / ``unregister`` / ``reoptimize`` /
-  ``rebalance`` / ``stats`` / ``snapshot``) are synchronous RPCs: the
-  coordinator blocks for the matching reply before issuing anything else,
-  retransmitting on timeout.  Workers deduplicate by sequence number and
+  ``rebalance`` / ``stats`` / ``snapshot`` / ``checkpoint`` …) carry a
+  sequence number and sit in one **outstanding-command table**, keyed by
+  ``(shard, seq)``, until answered.  One pump reads the reply queues: it
+  routes each reply to its command by seq, drops stale duplicates,
+  retransmits a command whose wait times out (one policy: exponential
+  backoff with seq-seeded jitter, up to ``max_retries``) and notices dead
+  workers.  A synchronous RPC blocks in the pump for its own reply;
+  pipelined lifecycle commands and checkpoint rounds are collected by
+  whichever caller pumps next.  Workers deduplicate by sequence number and
   answer duplicates from a reply cache, so commands apply exactly once even
   when the fault harness drops or duplicates frames.
 
@@ -48,9 +54,10 @@ every ``N`` batches: a ``checkpoint`` command is enqueued to every worker
 (so each worker snapshots at an exact point in its own frame order — the
 consistency cut), and the replies are collected **pipelined**: the
 coordinator keeps serving data and lifecycle traffic while snapshots are
-in flight, stashing manifest replies that arrive during other RPCs and
-polling the rest on later batch boundaries.  A collected manifest becomes a
-versioned :class:`~repro.shard.checkpoint.ShardCheckpoint` in the
+in flight, and whichever caller pumps next — another RPC, a batch
+boundary, a heartbeat — stores the manifests that have arrived.  A
+collected manifest becomes a versioned
+:class:`~repro.shard.checkpoint.ShardCheckpoint` in the
 :class:`~repro.shard.checkpoint.CheckpointStore` (per-component transfer
 blobs + stream cursors), and the shard's log is truncated to the cut — the
 log suffix past the newest checkpoint is exactly the recovery replay
@@ -59,11 +66,15 @@ window.
 Failure semantics
 -----------------
 
-A worker that dies (detected via its exit code when an RPC times out, a
-checkpoint collection notices, or :meth:`ProcessShardedRuntime.heartbeat`
-scans it) is respawned with a **fresh incarnation**: a new id range
-(:mod:`repro.core.idspace`) and a replay of all schema frames.  What
-happens next depends on durability:
+A worker that dies (detected via its exit code when a wait in the pump
+times out, or when :meth:`ProcessShardedRuntime.heartbeat` scans it) is
+respawned with a **fresh incarnation**: a new id range
+(:mod:`repro.core.idspace`) and a replay of all schema frames.  Its
+outstanding commands resolve at recovery: a synchronous RPC raises
+:class:`WorkerCrashError` to its caller, a pipelined lifecycle command
+counts as done (the replay re-applies it), and an in-flight checkpoint is
+cancelled and counted in ``checkpoint_failures``.  What happens next
+depends on durability:
 
 - **durable**: the worker is restored from its latest stored checkpoint
   (``restore`` command — components re-imported with executor state
@@ -153,6 +164,8 @@ from typing import Optional, Sequence, Union
 from contextlib import contextmanager
 
 from repro.core.idspace import reseed_identifiers, worker_id_base
+from repro.core.plan import QueryPlan
+from repro.engine.executor import StreamEngine
 from repro.engine.metrics import RunStats
 from repro.obs.events import EventLog
 from repro.obs.trace import SpanRecorder
@@ -164,9 +177,9 @@ from repro.errors import (
     LifecycleError,
     QueryLanguageError,
     RumorError,
-    WorkerUnreachableError,
 )
 from repro.lang.ast import LogicalQuery
+from repro.lang.compiler import as_logical, compile_into
 from repro.runtime.runtime import QueryRuntime
 from repro.shard.checkpoint import (
     CheckpointStore,
@@ -181,6 +194,12 @@ from repro.shard.coordlog import CoordinatorFaults, CoordinatorLog
 from repro.shard.engine import fork_available
 from repro.shard.ring import RingBuffer
 from repro.shard.relay import decode_local_frames, relay_rows
+from repro.shard.rpc import (
+    WorkerCommandError,
+    WorkerCrashError,
+    _Command,
+    _CommandTable,
+)
 from repro.shard.wire import (
     CHECKPOINT,
     COLLECT_RELAY,
@@ -208,7 +227,6 @@ from repro.shard.wire import (
     WireEncoder,
     decode_command,
     decode_manifest,
-    decode_reply,
     decode_transfer,
     encode_command,
     encode_reply,
@@ -240,14 +258,6 @@ def _locked(method):
             return method(self, *args, **kwargs)
 
     return wrapper
-
-
-class WorkerCrashError(RumorError):
-    """A worker process died before acknowledging a command."""
-
-
-class WorkerCommandError(LifecycleError):
-    """A worker rejected a command (it is alive and rolled back cleanly)."""
 
 
 @dataclass
@@ -301,15 +311,18 @@ class WorkerFaults:
 class FrameFaults:
     """Seed-driven drop/duplicate injection for command frames.
 
-    Applied on the coordinator's send path.  Two frame classes are exempt
-    by design: **data frames** (loss would silently change outputs, which
-    must fail loudly instead) and **checkpoint frames** (their position in
-    the worker's queue *is* the consistency cut — a dropped-then-
-    retransmitted checkpoint command would snapshot at a later cut than the
-    coordinator recorded, which the cursor cross-check rejects as protocol
-    corruption).  Every other command recovers via retransmission plus
-    sequence-number deduplication.  Counters record what the harness
-    actually did so tests can assert the chaos really happened.
+    Applied on the coordinator's send path.  Three frame classes are exempt
+    by design, because their position in the worker's queue is part of
+    their meaning: **data frames** (loss would silently change outputs,
+    which must fail loudly instead), **checkpoint frames** (the position
+    *is* the consistency cut — a dropped-then-retransmitted checkpoint
+    command would snapshot at a later cut than the coordinator recorded,
+    which the cursor cross-check rejects as protocol corruption) and
+    **pipelined lifecycle frames** (the position is the apply order the
+    write-ahead log recorded at submit time).  Every other command recovers
+    via retransmission plus sequence-number deduplication.  Counters record
+    what the harness actually did so tests can assert the chaos really
+    happened.
     """
 
     seed: int = 0
@@ -362,6 +375,10 @@ class _WorkerHandle:
 #: require the coordinator to have abandoned >128 in-flight commands, which
 #: the synchronous RPC discipline makes impossible).
 _REPLY_CACHE = 128
+
+#: Source events per shipped run: longer runs are cut into chunks of this
+#: size, each journaled, logged and shipped on its own.
+_MAX_BATCH = 1024
 
 #: Differential checkpointing forces a full round every this many versions,
 #: bounding how many splices any restore chain depends on.
@@ -725,7 +742,6 @@ class ProcessShardedRuntime:
         capture_outputs: bool = False,
         track_latency: bool = False,
         incremental: bool = True,
-        max_batch: int = 1024,
         command_timeout: float = 2.0,
         max_retries: int = 30,
         faults: Optional[FrameFaults] = None,
@@ -771,7 +787,6 @@ class ProcessShardedRuntime:
                 f"(...) / .readopt(...), or point journal= at a fresh "
                 f"directory"
             )
-        self.max_batch = max_batch
         self.command_timeout = command_timeout
         self.max_retries = max_retries
         self.faults = faults
@@ -802,9 +817,6 @@ class ProcessShardedRuntime:
         #: Manifest bytes received over the wire by checkpoint rounds
         #: (differential rounds shrink this, not what lands in the store).
         self.checkpoint_wire_bytes = 0
-        #: RPC retransmissions sent / RPCs abandoned after the retry budget.
-        self.rpc_retransmissions = 0
-        self.rpc_unreachable = 0
         #: Final counters of workers retired by elastic shrink (their
         #: outputs would otherwise vanish from :meth:`collect_stats`).
         self._retired_stats = RunStats()
@@ -846,16 +858,15 @@ class ProcessShardedRuntime:
         self._shipped: dict[int, dict[str, int]] = {}
         self._next_shard = 0
         self._batches = 0
-        self._pending_ckpt: Optional[dict] = None
         #: Re-entrant coordinator lock: every public entry point runs under
         #: it (see :func:`_locked`), making the runtime safe to drive from
         #: a serve session's pump thread + heartbeat timer + sampling
         #: callers concurrently.
         self._lock = threading.RLock()
-        #: shard → OrderedDict(seq → pending entry) of pipelined lifecycle
-        #: commands shipped but not yet acknowledged (the PR-5 pipelined
-        #: checkpoint pattern applied to register/unregister).
-        self._pending_cmds: dict[int, OrderedDict] = {}
+        #: Every command shipped and not yet answered (see _CommandTable).
+        self._table = _CommandTable(
+            self._workers, command_timeout, max_retries, faults
+        )
         #: shard → (version, {query_id: full captured history}) cache of the
         #: latest stored checkpoint's materialized histories — the splice
         #: base for differential rounds (rebuilt lazily from store blobs).
@@ -945,7 +956,6 @@ class ProcessShardedRuntime:
                         "capture_outputs": capture_outputs,
                         "track_latency": track_latency,
                         "incremental": incremental,
-                        "max_batch": max_batch,
                         "checkpoint_every": checkpoint_every,
                         "observe": self.observe,
                         "differential": self.differential,
@@ -1055,7 +1065,7 @@ class ProcessShardedRuntime:
             self._adopt(handoff)
             return
         for shard in list(self._shards):
-            self._workers[shard] = self._spawn(shard)
+            self._spawn(shard)
         if self._resume:
             self._cold_start()
 
@@ -1094,13 +1104,17 @@ class ProcessShardedRuntime:
             daemon=True,
         )
         process.start()
-        return _WorkerHandle(
+        handle = self._workers[shard] = _WorkerHandle(
             process=process,
             commands=commands,
             replies=replies,
             incarnation=incarnation,
             ring=ring,
         )
+        # Respawns and new shards decode in-flight streams immediately.
+        for frame in self._schema_frames:
+            commands.put(frame)
+        return handle
 
     @_locked
     def close(self) -> None:
@@ -1142,7 +1156,7 @@ class ProcessShardedRuntime:
         :meth:`readopt` on a successor coordinator.
         """
         handoff = CoordinatorHandoff(workers=dict(self._workers))
-        self._workers = {}
+        self._workers.clear()
         self._closed = True
         if self._journal is not None:
             self._journal.close()
@@ -1160,7 +1174,7 @@ class ProcessShardedRuntime:
             if handle.process.is_alive():
                 handle.process.terminate()
             handle.process.join(timeout=1.0)
-        self._workers = {}
+        self._workers.clear()
         if self._journal is not None:
             self._journal.close()
 
@@ -1220,21 +1234,28 @@ class ProcessShardedRuntime:
             self.recorder.record(span)
 
     # -- RPC -------------------------------------------------------------------------
+    #
+    # Every command rides the outstanding-command table.  Synchronous RPCs
+    # block in its pump for their own reply; pipelined lifecycle commands
+    # and checkpoint rounds are collected whenever any caller pumps —
+    # another RPC, a per-batch poll, a heartbeat or an explicit collect.
 
-    def _send_command(self, handle: _WorkerHandle, frame: tuple) -> None:
-        copies = self.faults.copies_of(frame) if self.faults is not None else 1
-        for __ in range(copies):
-            handle.commands.put(frame)
+    @property
+    def rpc_retransmissions(self) -> int:
+        """Command retransmissions sent after a timed-out wait."""
+        return self._table.retransmissions
 
-    def _new_command(self, shard: int, kind: str, payload=None):
-        """Allocate the next sequence number and encode a command frame.
+    @property
+    def rpc_unreachable(self) -> int:
+        """Waits abandoned after the retry budget."""
+        return self._table.unreachable
 
-        Returns ``(seq, frame, span)``; the caller owns finishing the span
-        (when observing) once the conversation ends.
-        """
+    def _send(self, shard: int, kind: str, payload=None, **options):
+        """Ship a command under the next sequence number; returns
+        ``(command, span)`` — the span (when observing) is the caller's to
+        finish.  ``options`` are :class:`_Command` fields."""
         self._seq += 1
-        seq = self._seq
-        span = None
+        span = trace = None
         if self.recorder is not None:
             span = self.recorder.start(
                 f"rpc:{kind}",
@@ -1243,135 +1264,53 @@ class ProcessShardedRuntime:
                 shard=shard,
             )
             trace = (self.trace_id, span.span_id)
-        else:
-            trace = None
-        frame = encode_command(kind, seq, payload, trace=trace)
-        return seq, frame, span
+        frame = encode_command(kind, self._seq, payload, trace=trace)
+        command = _Command(shard, self._seq, kind, frame, **options)
+        return self._table.submit(command), span
 
-    def _await_reply(
-        self, shard: int, handle: _WorkerHandle, seq: int, frame: tuple,
-        kind: str, span=None,
-    ):
-        """Block for the reply matching ``seq``, retransmitting on timeout.
-
-        Stray replies that land in between — pipelined checkpoint manifests
-        or pipelined lifecycle acknowledgements — are routed to their
-        pending entries; stale duplicates are dropped.
-        """
-        retries = 0
-        started = time.monotonic()
-        # Exponential backoff with deterministic jitter: each timeout
-        # doubles (capped at 8x) and is scaled by a seq-seeded factor in
-        # [0.5, 1.5), so retransmission storms de-synchronize while
-        # tests stay reproducible.
-        jitter = Random(seq)
-        timeout = self.command_timeout
-        while True:
-            try:
-                reply = handle.replies.get(timeout=timeout)
-            except queue_module.Empty:
-                if handle.process.exitcode is not None:
-                    if span is not None:
-                        span.attrs["error"] = True
-                    raise WorkerCrashError(
-                        f"shard {shard} worker exited with code "
-                        f"{handle.process.exitcode} during {kind}"
-                    ) from None
-                retries += 1
-                elapsed = time.monotonic() - started
-                if retries > self.max_retries:
-                    if span is not None:
-                        span.attrs["error"] = True
-                    self.rpc_unreachable += 1
-                    raise WorkerUnreachableError(
-                        f"shard {shard} did not acknowledge {kind} after "
-                        f"{retries} attempts ({elapsed:.1f}s; "
-                        f"max_retries={self.max_retries})",
-                        shard=shard,
-                        kind=kind,
-                        attempts=retries,
-                        elapsed_seconds=elapsed,
-                    ) from None
-                self.rpc_retransmissions += 1
-                self._send_command(handle, frame)
-                timeout = min(
-                    self.command_timeout * (2 ** retries),
-                    self.command_timeout * 8,
-                ) * jitter.uniform(0.5, 1.5)
-                continue
-            reply_seq, status, result = decode_reply(reply)
-            if reply_seq != seq:
-                # A pipelined checkpoint manifest or lifecycle ack landing
-                # between two synchronous commands (route it to its pending
-                # entry) — or a stale reply of a duplicated earlier command
-                # (drop it).
-                self._stash_stray_reply(shard, reply_seq, status, result)
-                continue
-            if status == OK:
-                return result
+    def _collect(self, command: _Command, span=None):
+        """Block for a synchronous command's reply (raw, no recovery)."""
+        try:
+            return self._table.wait(command)
+        except BaseException:
             if span is not None:
                 span.attrs["error"] = True
-            raise WorkerCommandError(
-                f"shard {shard} {kind} failed: {result}"
-            )
-
-    def _rpc(self, shard: int, kind: str, payload=None):
-        """Send one command and block for its reply (raw, no recovery)."""
-        handle = self._workers[shard]
-        seq, frame, span = self._new_command(shard, kind, payload)
-        try:
-            self._send_command(handle, frame)
-            return self._await_reply(shard, handle, seq, frame, kind, span)
+            raise
         finally:
+            self._table.discard(command)
             if span is not None:
                 span.finish()
                 self.recorder.record(span)
 
+    def _rpc(self, shard: int, kind: str, payload=None):
+        """Send one command and block for its reply (raw, no recovery)."""
+        return self._collect(*self._send(shard, kind, payload))
+
     def _rpc_fanout(self, kind: str, payloads: dict) -> dict:
-        """Pipelined fan-out: ship one command per shard, then collect.
-
-        ``payloads`` maps shard → payload.  Every frame is enqueued before
-        any reply is awaited, so the workers decode and answer
-        concurrently and the barrier costs the *slowest* round trip instead
-        of the sum — on a fleet with deep data queues this is the
-        difference between one queue drain and ``n`` of them.  A shard that
-        dies mid-fan is recovered and its command retried once (the
-        :meth:`_rpc_recovering` discipline, per shard).  Returns
-        shard → result, every shard answered.
-        """
-        sent = []
-        for shard, payload in payloads.items():
-            handle = self._workers[shard]
-            seq, frame, span = self._new_command(shard, kind, payload)
-            self._send_command(handle, frame)
-            sent.append((shard, payload, handle, seq, frame, span))
+        """Ship one command per shard (``payloads``: shard → payload), then
+        collect shard → result.  The workers answer concurrently, so the
+        barrier costs the slowest round trip rather than the sum.  A shard
+        that dies mid-fan is recovered and its command retried once (the
+        :meth:`_rpc_recovering` discipline, per shard)."""
+        sent = {
+            shard: self._send(shard, kind, payload)
+            for shard, payload in payloads.items()
+        }
         results = {}
-        for shard, payload, handle, seq, frame, span in sent:
-            try:
-                results[shard] = self._await_reply(
-                    shard, handle, seq, frame, kind, span
-                )
-            except WorkerCrashError:
-                # Recovery drains only this shard's reply queue, so the
-                # other in-flight fan replies are untouched; the respawned
-                # worker never saw the fan frame, so re-send fresh.
-                self._recover(shard)
-                results[shard] = self._rpc(shard, kind, payload)
-            finally:
-                if span is not None:
-                    span.finish()
-                    self.recorder.record(span)
+        try:
+            for shard, (command, span) in sent.items():
+                try:
+                    results[shard] = self._collect(command, span)
+                except WorkerCrashError:
+                    # Recovery buries only this shard's commands, so the
+                    # other in-flight fan replies are untouched; the
+                    # respawned worker never saw the fan frame.
+                    self._recover(shard)
+                    results[shard] = self._rpc(shard, kind, payloads[shard])
+        finally:
+            for command, __ in sent.values():
+                self._table.discard(command)
         return results
-
-    def _stash_stray_reply(
-        self, shard: int, reply_seq: int, status: str, result
-    ) -> bool:
-        """Route a reply that is not the one currently awaited: pending
-        checkpoint manifests first, then pending pipelined lifecycle
-        commands.  Returns False for stale duplicates (dropped)."""
-        if self._stash_checkpoint_reply(shard, reply_seq, status, result):
-            return True
-        return self._resolve_lifecycle_reply(shard, reply_seq, status, result)
 
     def _rpc_recovering(self, shard: int, kind: str, payload=None):
         """RPC that survives one worker crash: recover, then retry once."""
@@ -1381,7 +1320,22 @@ class ProcessShardedRuntime:
             self._recover(shard)
             return self._rpc(shard, kind, payload)
 
-    def _recover(self, shard: int) -> RecoveryReport:
+    def _settle(self, *kinds: str) -> int:
+        """Block until no pipelined command of ``kinds`` is outstanding.
+
+        A worker found dead is recovered, which resolves its commands (see
+        :meth:`_recover`).  Returns how many commands were settled."""
+        settled = len(self._table.outstanding(*kinds))
+        while True:
+            pending = self._table.outstanding(*kinds)
+            if not pending:
+                return settled
+            try:
+                self._table.wait(pending[0])
+            except WorkerCrashError:
+                self._recover(pending[0].shard)
+
+    def _recover(self, shard: int, event: str = "recovery") -> RecoveryReport:
         """Respawn a dead worker and bring it back to the present.
 
         Durable mode restores the shard's latest checkpoint (executor state
@@ -1391,24 +1345,25 @@ class ProcessShardedRuntime:
         byte-identical to one that never crashed.  Non-durable mode blank
         re-registers the catalog queries, dropping the dead incarnation's
         operator state.  Either way a structured :class:`RecoveryReport` is
-        appended to :attr:`recovery_log` and emitted through ``logging``.
+        appended to :attr:`recovery_log` and emitted through ``logging`` as
+        ``event``.  Re-adoption replaces a live but journal-diverged worker
+        the same way (``event="readopt_respawn"``).
         """
         with self._traced("recovery", shard=shard):
-            return self._recover_inner(shard)
+            return self._recover_inner(shard, event)
 
-    def _recover_inner(self, shard: int) -> RecoveryReport:
-        old = self._workers[shard]
-        old.process.join(timeout=2.0)
+    def _recover_inner(self, shard: int, event: str) -> RecoveryReport:
+        old = self._workers.pop(shard, None)
+        if old is not None:  # absent when re-adoption found no live worker
+            self._stop_handle(old)
         started = time.perf_counter()
-        # A snapshot in flight on the dead worker can never complete; its
-        # round proceeds without this shard (older version retained).
-        # Pending pipelined lifecycle submissions are owned by the replay.
-        self._cancel_pending_checkpoint(shard)
-        self._cancel_pending_lifecycle(shard)
+        # The dead worker's commands resolve here: a snapshot in flight can
+        # never complete (its round proceeds without this shard, older
+        # version retained), and pipelined lifecycle submissions were
+        # recorded at submit time, so the replay (or the blank
+        # re-registration) re-applies them.
+        self._table.bury(shard)
         handle = self._spawn(shard)
-        self._workers[shard] = handle
-        for frame in self._schema_frames:
-            handle.commands.put(frame)
         self._shipped[shard] = {}
         report = RecoveryReport(
             shard=shard,
@@ -1434,7 +1389,7 @@ class ProcessShardedRuntime:
         # str(report) carries the full account (including the DROPPED
         # state-loss marker the log-capture tests assert on).
         self.events.emit(
-            "recovery",
+            event,
             message=str(report),
             level=logging.WARNING if report.state_lost else logging.INFO,
             shard=shard,
@@ -1635,11 +1590,11 @@ class ProcessShardedRuntime:
                     if owner == shard
                 }
                 if info is None:
-                    self._force_respawn(shard)
+                    self._recover(shard, "readopt_respawn")
                     continue
                 missing = journaled - set(info["active_queries"])
                 if missing:
-                    self._force_respawn(shard)
+                    self._recover(shard, "readopt_respawn")
                     continue
                 self._reship_deficit(shard, info["cursor"])
                 adopted += 1
@@ -1652,35 +1607,6 @@ class ProcessShardedRuntime:
             ),
             adopted=adopted,
             shards=len(self._shards),
-        )
-
-    def _force_respawn(self, shard: int) -> None:
-        """Replace a dead or journal-diverged worker during re-adoption."""
-        handle = self._workers.pop(shard, None)
-        if handle is not None:
-            self._stop_handle(handle)
-        started = time.perf_counter()
-        replacement = self._spawn(shard)
-        self._workers[shard] = replacement
-        for frame in self._schema_frames:
-            replacement.commands.put(frame)
-        self._shipped[shard] = {}
-        report = RecoveryReport(
-            shard=shard,
-            incarnation=replacement.incarnation,
-            durable=self.durable,
-            checkpoint_version=None,
-        )
-        self._restore_worker(shard, report)
-        report.elapsed_seconds = time.perf_counter() - started
-        self.recovery_log.append(report)
-        self.crash_recoveries += 1
-        self.events.emit(
-            "readopt_respawn",
-            message=str(report),
-            level=logging.INFO,
-            shard=shard,
-            incarnation=replacement.incarnation,
         )
 
     def _reship_deficit(self, shard: int, worker_cursor: dict) -> None:
@@ -1719,17 +1645,17 @@ class ProcessShardedRuntime:
             if not any(count > 0 for count in need.values()):
                 break
             if entry[0] != "data":
-                self._force_respawn(shard)
+                self._recover(shard, "readopt_respawn")
                 return
             __, stream_name, chunk = entry
             remaining = need.get(stream_name, 0)
             if len(chunk) > remaining:
-                self._force_respawn(shard)
+                self._recover(shard, "readopt_respawn")
                 return
             need[stream_name] = remaining - len(chunk)
             suffix.append(entry)
         if any(count != 0 for count in need.values()):
-            self._force_respawn(shard)
+            self._recover(shard, "readopt_respawn")
             return
         for __, stream_name, chunk in reversed(suffix):
             # count=False: the journal already counted these events as
@@ -1763,53 +1689,18 @@ class ProcessShardedRuntime:
         self._ensure_started()
         version = self._initiate_checkpoint()
         if wait:
-            self.collect_checkpoints()
+            self._settle(CHECKPOINT)
         return version
 
     @_locked
     def collect_checkpoints(self) -> None:
         """Block until no checkpoint round is pending (crash-recovering)."""
-        while self._pending_ckpt is not None:
-            pending = self._pending_ckpt
-            shard, entry = next(iter(pending["shards"].items()))
-            handle = self._workers[shard]
-            try:
-                reply = handle.replies.get(timeout=self.command_timeout)
-            except queue_module.Empty:
-                if handle.process.exitcode is not None:
-                    self._recover(shard)
-                    continue
-                entry["retries"] += 1
-                if entry["retries"] > self.max_retries:
-                    self.rpc_unreachable += 1
-                    raise WorkerUnreachableError(
-                        f"shard {shard} did not acknowledge checkpoint "
-                        f"v{pending['version']} after {entry['retries']} "
-                        f"attempts",
-                        shard=shard,
-                        kind=CHECKPOINT,
-                        attempts=entry["retries"],
-                    ) from None
-                # Safe retransmit: the original frame was delivered (the
-                # reliable path never drops), so the first copy already
-                # fixed the cut; a duplicate is answered from the worker's
-                # reply cache.
-                self.rpc_retransmissions += 1
-                handle.commands.put(entry["frame"])
-                continue
-            reply_seq, status, result = decode_reply(reply)
-            if reply_seq == entry["seq"]:
-                self._finish_shard_checkpoint(shard, status, result)
-            else:
-                # A pipelined lifecycle ack landing during collection — or a
-                # stale duplicate of an already-acknowledged command (drop).
-                self._resolve_lifecycle_reply(shard, reply_seq, status, result)
+        self._settle(CHECKPOINT)
 
     def _initiate_checkpoint(self) -> int:
         # One round in flight at a time: a new cut only makes sense once
         # the previous one has fully landed (or its shard died).
-        if self._pending_ckpt is not None:
-            self.collect_checkpoints()
+        self._settle(CHECKPOINT)
         # Relays must be quiescent at the cut: with every produced tuple
         # journaled as collected, each manifest's relay cursor equals the
         # journaled watermark — otherwise tuples retained at the cut would
@@ -1825,7 +1716,6 @@ class ProcessShardedRuntime:
         differential = (
             self.differential and version % FULL_CHECKPOINT_EVERY != 0
         )
-        shards: dict[int, dict] = {}
         with self._traced("checkpoint:round", version=version):
             # Worker-side apply:checkpoint spans parent to this round span
             # even though the snapshots land later, pipelined — the span
@@ -1834,15 +1724,8 @@ class ProcessShardedRuntime:
             for shard in self._shards:
                 base = self._ckpt_base(shard) if differential else None
                 self._seq += 1
-                frame = encode_command(
-                    CHECKPOINT,
-                    self._seq,
-                    {"version": version, "base": base},
-                    trace=trace,
-                )
-                shards[shard] = {
-                    "seq": self._seq,
-                    "frame": frame,
+                cut = {
+                    "version": version,
                     "position": self._wal[shard].end,
                     "expected_cursor": dict(self._shipped[shard]),
                     "expected_relays": {
@@ -1851,13 +1734,27 @@ class ProcessShardedRuntime:
                         if self._query_shard[info["query_id"]] == shard
                     },
                     "base": base,
-                    "retries": 0,
                 }
-                # Bypass FrameFaults: a checkpoint command's queue position
-                # IS the cut it records, so it ships on the reliable path
-                # like the data frames it cuts between (see FrameFaults).
-                self._workers[shard].commands.put(frame)
-        self._pending_ckpt = {"version": version, "shards": shards}
+                # Reliable: a checkpoint command's queue position IS the
+                # cut it records, like the data frames it cuts between.
+                self._table.submit(
+                    _Command(
+                        shard,
+                        self._seq,
+                        CHECKPOINT,
+                        encode_command(
+                            CHECKPOINT,
+                            self._seq,
+                            {"version": version, "base": base},
+                            trace=trace,
+                        ),
+                        reliable=True,
+                        on_reply=self._store_checkpoint,
+                        on_death=self._checkpoint_lost,
+                        label=f"checkpoint v{version}",
+                        context=cut,
+                    )
+                )
         self._crash_point("ckpt-round", "before")
         self.events.emit(
             "checkpoint_initiated", level=logging.DEBUG, version=version
@@ -1901,45 +1798,14 @@ class ProcessShardedRuntime:
         self._ckpt_captured[shard] = (checkpoint.version, full)
         return full
 
-    def _poll_checkpoint(self) -> None:
-        """Non-blocking sweep for pipelined checkpoint replies."""
-        pending = self._pending_ckpt
-        if pending is None:
-            return
-        for shard in list(pending["shards"]):
-            entry = pending["shards"].get(shard)
-            if entry is None or self._pending_ckpt is not pending:
-                break
-            handle = self._workers[shard]
-            while True:
-                try:
-                    reply = handle.replies.get_nowait()
-                except queue_module.Empty:
-                    break
-                reply_seq, status, result = decode_reply(reply)
-                if reply_seq == entry["seq"]:
-                    self._finish_shard_checkpoint(shard, status, result)
-                    break
-                # A pipelined lifecycle ack — or a stale duplicate (drop).
-                self._resolve_lifecycle_reply(shard, reply_seq, status, result)
+    def _checkpoint_lost(self, command: _Command) -> None:
+        self.checkpoint_failures += 1
 
-    def _stash_checkpoint_reply(
-        self, shard: int, reply_seq: int, status: str, result
-    ) -> bool:
-        pending = self._pending_ckpt
-        if pending is None:
-            return False
-        entry = pending["shards"].get(shard)
-        if entry is None or entry["seq"] != reply_seq:
-            return False
-        self._finish_shard_checkpoint(shard, status, result)
-        return True
-
-    def _finish_shard_checkpoint(self, shard: int, status: str, result) -> None:
-        pending = self._pending_ckpt
-        entry = pending["shards"].pop(shard)
-        if not pending["shards"]:
-            self._pending_ckpt = None
+    def _store_checkpoint(self, command: _Command, status: str, result) -> None:
+        """A checkpoint reply: check the manifest against the cut recorded
+        at initiation, store it, truncate the log, journal the cut."""
+        shard, cut = command.shard, command.context
+        version = cut["version"]
         if status != OK:
             # The worker is alive but could not snapshot; it keeps serving
             # on its previous checkpoint (recovery replays a longer suffix).
@@ -1948,25 +1814,25 @@ class ProcessShardedRuntime:
                 "checkpoint_failed",
                 message=(
                     f"shard {shard} failed checkpoint "
-                    f"v{pending['version']}: {result}"
+                    f"v{version}: {result}"
                 ),
                 level=logging.WARNING,
                 shard=shard,
-                version=pending["version"],
+                version=version,
             )
             return
         manifest = decode_manifest(result)
-        if manifest["cursor"] != entry["expected_cursor"]:
+        if manifest["cursor"] != cut["expected_cursor"]:
             raise CheckpointError(
-                f"shard {shard} checkpoint v{pending['version']} cursor "
+                f"shard {shard} checkpoint v{version} cursor "
                 f"mismatch: worker processed {manifest['cursor']}, "
-                f"coordinator shipped {entry['expected_cursor']} before the "
+                f"coordinator shipped {cut['expected_cursor']} before the "
                 f"cut — the protocol's ordering guarantee is broken"
             )
-        expected_relays = entry.get("expected_relays", {})
+        expected_relays = cut["expected_relays"]
         if manifest.get("relays", {}) != expected_relays:
             raise CheckpointError(
-                f"shard {shard} checkpoint v{pending['version']} relay "
+                f"shard {shard} checkpoint v{version} relay "
                 f"cursor mismatch: worker produced "
                 f"{manifest.get('relays', {})}, coordinator collected "
                 f"{expected_relays} before the cut — relays were not "
@@ -1978,13 +1844,13 @@ class ProcessShardedRuntime:
             len(component["blob"]) for component in manifest["components"]
         )
         self.checkpoint_wire_bytes += wire_bytes
-        base = entry.get("base")
+        base = cut["base"]
         if base is not None:
             self._materialize_differential(shard, manifest, base)
         checkpoint = ShardCheckpoint(
             shard=shard,
-            version=pending["version"],
-            position=entry["position"],
+            version=version,
+            position=cut["position"],
             cursor=manifest["cursor"],
             components=tuple(
                 ComponentCheckpoint(
@@ -2005,7 +1871,7 @@ class ProcessShardedRuntime:
         self._ckpt_captured.pop(shard, None)
         # Everything before the cut is now redundant: restore + suffix
         # replay reconstructs the present without it.
-        self._wal[shard].truncate_to(entry["position"])
+        self._wal[shard].truncate_to(cut["position"])
         if self._journal is not None:
             # Store-then-journal: the .ckpt file exists before this record
             # commits it.  A crash in between leaves an unjournaled file,
@@ -2015,7 +1881,7 @@ class ProcessShardedRuntime:
                 "ckpt",
                 shard,
                 checkpoint.version,
-                entry["position"],
+                cut["position"],
                 dict(manifest["cursor"]),
             )
         self.checkpoints_stored += 1
@@ -2057,15 +1923,6 @@ class ProcessShardedRuntime:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
 
-    def _cancel_pending_checkpoint(self, shard: int) -> None:
-        pending = self._pending_ckpt
-        if pending is None:
-            return
-        if pending["shards"].pop(shard, None) is not None:
-            self.checkpoint_failures += 1
-        if not pending["shards"]:
-            self._pending_ckpt = None
-
     def wal_span(self, shard: int) -> tuple[int, int]:
         """Retained write-ahead-log window ``(start, end)`` for a shard."""
         if not self.durable:
@@ -2086,8 +1943,10 @@ class ProcessShardedRuntime:
         """
         if not self._started or self._closed:
             return
-        self._poll_checkpoint()
-        self._poll_lifecycle()
+        self._table.poll()
+        self._recover_dead()
+
+    def _recover_dead(self) -> None:
         for shard, handle in list(self._workers.items()):
             if handle.process.exitcode is not None:
                 self._recover(shard)
@@ -2128,17 +1987,30 @@ class ProcessShardedRuntime:
             loads[owner] += 1
         return min(self._shards, key=lambda shard: (loads[shard], shard))
 
-    @_locked
-    def register(
-        self,
-        query: Union[str, LogicalQuery],
-        query_id: Optional[str] = None,
-        shard: Optional[int] = None,
-    ) -> dict:
-        """Register a query on a worker; returns the worker's summary."""
-        from repro.lang.compiler import as_logical
+    def _admit(
+        self, kind: str, query, query_id=None, shard=None, compiles=False
+    ) -> tuple:
+        """The admission check every register and unregister passes before
+        anything is recorded; returns ``(payload, shard)``.
 
+        Registration parses ``query`` (text or :class:`LogicalQuery`),
+        refuses a duplicate id or an unknown source, and places the query
+        (or range-checks ``shard``).  With ``compiles`` it also builds the
+        query's executors on a scratch plan over the coordinator's source
+        streams — the compile path the worker runs — so a pipelined submit
+        never records a query its worker would refuse.  Unregistration
+        (``query`` is the id) refuses a query feeding an export and looks
+        up its owner.
+        """
         self._ensure_started()
+        if kind == UNREGISTER:
+            for alias, info in self._relays.items():
+                if info["query_id"] == query:
+                    raise LifecycleError(
+                        f"query {query!r} feeds exported stream {alias!r}; "
+                        f"remove the export before unregistering"
+                    )
+            return query, self.shard_of(query)
         try:
             logical = as_logical(query, query_id)
         except QueryLanguageError as error:
@@ -2152,55 +2024,76 @@ class ProcessShardedRuntime:
                 raise LifecycleError(
                     f"query {logical.query_id!r} reads unknown source {name!r}"
                 )
+        if compiles:
+            plan = QueryPlan()
+            streams = {name: self.streams[name] for name in logical.sources()}
+            for name, stream in streams.items():
+                plan.adopt_source(stream, self._channels[name])
+            try:
+                compile_into(logical, plan, streams)
+                StreamEngine(plan)
+            except RumorError as error:
+                raise LifecycleError(
+                    f"query {logical.query_id!r} does not compile: {error}"
+                ) from error
         if shard is None:
             shard = self.place(logical)
         elif shard not in self._shards:
             raise LifecycleError(
                 f"shard {shard} out of range (live shards: {self._shards})"
             )
-        result = self._rpc_recovering(shard, REGISTER, logical)
+        return logical, shard
+
+    def _lifecycle(self, kind: str, payload, shard: int, pipelined=False):
+        """Ship one admitted register/unregister, then record it: the
+        write-ahead log, the journal (synchronous only), the catalog and
+        the routing.  Returns the worker's reply, or the shard when
+        pipelined."""
+        query_id = payload.query_id if kind == REGISTER else payload
+        if pipelined:
+            self._submit_lifecycle(shard, kind, payload, query_id)
+            result = shard
+        else:
+            result = self._rpc_recovering(shard, kind, payload)
         if self.durable:
-            self._wal[shard].append(("register", logical))
-        self._crash_point("register", "before")
-        if self._journal is not None:
-            self._journal.append("register", shard, logical)
-        self._crash_point("register", "after")
-        self._queries[logical.query_id] = logical
-        self._query_shard[logical.query_id] = shard
+            self._wal[shard].append((kind, payload))
+        if not pipelined:
+            self._crash_point(kind, "before")
+            if self._journal is not None:
+                self._journal.append(kind, shard, payload)
+            self._crash_point(kind, "after")
+        if kind == REGISTER:
+            self._queries[query_id] = payload
+            self._query_shard[query_id] = shard
+        else:
+            del self._query_shard[query_id]
+            del self._queries[query_id]
+            self._retire_schemas()
         self._route_cache.clear()
         self.events.emit(
-            "register",
+            kind,
             level=logging.DEBUG,
-            query=logical.query_id,
+            query=query_id,
             shard=shard,
+            **({"pipelined": True} if pipelined else {}),
         )
         return result
 
     @_locked
-    def unregister(self, query_id: str) -> dict:
-        self._ensure_started()
-        for alias, info in self._relays.items():
-            if info["query_id"] == query_id:
-                raise LifecycleError(
-                    f"query {query_id!r} feeds exported stream {alias!r}; "
-                    f"remove the export before unregistering"
-                )
-        shard = self.shard_of(query_id)
-        result = self._rpc_recovering(shard, UNREGISTER, query_id)
-        if self.durable:
-            self._wal[shard].append(("unregister", query_id))
-        self._crash_point("unregister", "before")
-        if self._journal is not None:
-            self._journal.append("unregister", shard, query_id)
-        self._crash_point("unregister", "after")
-        del self._query_shard[query_id]
-        del self._queries[query_id]
-        self._route_cache.clear()
-        self._retire_schemas()
-        self.events.emit(
-            "unregister", level=logging.DEBUG, query=query_id, shard=shard
+    def register(
+        self,
+        query: Union[str, LogicalQuery],
+        query_id: Optional[str] = None,
+        shard: Optional[int] = None,
+    ) -> dict:
+        """Register a query on a worker; returns the worker's summary."""
+        return self._lifecycle(
+            REGISTER, *self._admit(REGISTER, query, query_id, shard)
         )
-        return result
+
+    @_locked
+    def unregister(self, query_id: str) -> dict:
+        return self._lifecycle(UNREGISTER, *self._admit(UNREGISTER, query_id))
 
     def _retire_schemas(self) -> None:
         """Release wire schema tokens no remaining query's sources need.
@@ -2237,41 +2130,43 @@ class ProcessShardedRuntime:
     # The synchronous register/unregister block the coordinator for one full
     # round trip each — and on a fleet with deep data queues, "one round
     # trip" means draining everything queued in front of the command.  The
-    # pipelined variants apply the PR-5 checkpoint-collection pattern to
-    # lifecycle: validate on the coordinator, record the effects (catalog,
-    # routing, write-ahead log) at *submit* time — which preserves
+    # pipelined variants pass the same admission check, record the effects
+    # (catalog, routing, write-ahead log) at *submit* time — which preserves
     # queue-order = log-order, the invariant recovery replay depends on —
-    # ship the frame, and collect the acknowledgement later (during other
-    # RPCs, on heartbeats, or at an explicit ``collect_lifecycle`` barrier).
-    # Workers dedupe by seq exactly as for synchronous commands.  A worker
-    # that dies with submissions outstanding is recovered normally; the
-    # recovery replay re-applies the submitted commands from the log (or the
-    # blank re-registration re-creates them from the catalog), so the
-    # pending entries resolve as done.  Journaled runtimes fall back to the
-    # synchronous path: the journal's lifecycle discipline is
-    # RPC-then-journal, which pipelining would invert.
+    # ship the frame on the reliable path, and leave the command in the
+    # outstanding-command table, where any later pump collects its
+    # acknowledgement: another RPC, a per-batch poll, a heartbeat, or the
+    # ``collect_lifecycle`` barrier.  Workers dedupe by seq exactly as for
+    # synchronous commands.  A worker that dies with submissions
+    # outstanding is recovered normally and its submissions count as done:
+    # the recovery replay re-applies them from the log (or the blank
+    # re-registration re-creates them from the catalog).  Journaled
+    # runtimes take the synchronous path: the journal's lifecycle
+    # discipline is RPC-then-journal, which pipelining would invert.
 
-    def _submit_lifecycle(self, shard: int, kind: str, payload, label) -> int:
-        handle = self._workers[shard]
-        seq, frame, span = self._new_command(shard, kind, payload)
+    def _submit_lifecycle(self, shard: int, kind: str, payload, query_id) -> None:
+        command, span = self._send(
+            shard,
+            kind,
+            payload,
+            reliable=True,
+            on_reply=self._lifecycle_acked,
+            label=f"pipelined {kind} {query_id!r}",
+        )
         if span is not None:
             span.attrs["pipelined"] = True
             span.finish()  # marks the submission; the ack lands later
             self.recorder.record(span)
-        # Reliable path (no FrameFaults): like a checkpoint cut, a pipelined
-        # lifecycle frame's queue position *is* its apply order relative to
-        # the surrounding data — a dropped-then-retransmitted frame would
-        # apply later than the write-ahead log recorded it.
-        handle.commands.put(frame)
-        entries = self._pending_cmds.setdefault(shard, OrderedDict())
-        entries[seq] = {
-            "seq": seq,
-            "kind": kind,
-            "label": label,
-            "frame": frame,
-            "retries": 0,
-        }
-        return seq
+
+    def _lifecycle_acked(self, command: _Command, status: str, result) -> None:
+        if status != OK:
+            # Admission compiled the query and recorded its effects at
+            # submit time: a worker-side rejection means the two sides
+            # disagree about the plan state, which is a protocol bug, not a
+            # rollbackable user error.
+            raise WorkerCommandError(
+                f"shard {command.shard} rejected {command.label}: {result}"
+            )
 
     @_locked
     def submit_register(
@@ -2284,189 +2179,41 @@ class ProcessShardedRuntime:
 
         Returns the owning shard immediately; the worker's acknowledgement
         is collected later (:meth:`collect_lifecycle`, :meth:`heartbeat`,
-        or in passing during any other RPC).  All user-facing validation
-        (duplicate id, unknown source, shard range) happens here, so a
-        worker-side rejection of a submitted command is a protocol bug and
-        raises :class:`WorkerCommandError` at collection.
+        or in passing during any other RPC or batch).  All user-facing
+        validation (parse, duplicate id, unknown source, compile against
+        the source schemas, shard range) happens here, so a worker-side
+        rejection of a submitted command is a protocol bug and raises
+        :class:`WorkerCommandError` at collection.
         """
-        from repro.lang.compiler import as_logical
-
-        self._ensure_started()
-        try:
-            logical = as_logical(query, query_id)
-        except QueryLanguageError as error:
-            raise LifecycleError(str(error)) from error
-        if self._journal is not None:
-            self.register(logical)
-            return self._query_shard[logical.query_id]
-        if logical.query_id in self._query_shard:
-            raise LifecycleError(
-                f"query {logical.query_id!r} is already registered"
-            )
-        for name in logical.sources():
-            if name not in self.streams:
-                raise LifecycleError(
-                    f"query {logical.query_id!r} reads unknown source {name!r}"
-                )
-        if shard is None:
-            shard = self.place(logical)
-        elif shard not in self._shards:
-            raise LifecycleError(
-                f"shard {shard} out of range (live shards: {self._shards})"
-            )
-        self._submit_lifecycle(shard, REGISTER, logical, logical.query_id)
-        if self.durable:
-            self._wal[shard].append(("register", logical))
-        self._queries[logical.query_id] = logical
-        self._query_shard[logical.query_id] = shard
-        self._route_cache.clear()
-        self.events.emit(
-            "register",
-            level=logging.DEBUG,
-            query=logical.query_id,
-            shard=shard,
-            pipelined=True,
+        logical, shard = self._admit(
+            REGISTER, query, query_id, shard, compiles=True
         )
+        self._lifecycle(REGISTER, logical, shard, self._journal is None)
         return shard
 
     @_locked
     def submit_unregister(self, query_id: str) -> int:
         """Pipelined :meth:`unregister`; returns the shard it left."""
-        self._ensure_started()
-        for alias, info in self._relays.items():
-            if info["query_id"] == query_id:
-                raise LifecycleError(
-                    f"query {query_id!r} feeds exported stream {alias!r}; "
-                    f"remove the export before unregistering"
-                )
-        shard = self.shard_of(query_id)
-        if self._journal is not None:
-            self.unregister(query_id)
-            return shard
-        self._submit_lifecycle(shard, UNREGISTER, query_id, query_id)
-        if self.durable:
-            self._wal[shard].append(("unregister", query_id))
-        del self._query_shard[query_id]
-        del self._queries[query_id]
-        self._route_cache.clear()
-        self._retire_schemas()
-        self.events.emit(
-            "unregister",
-            level=logging.DEBUG,
-            query=query_id,
-            shard=shard,
-            pipelined=True,
-        )
+        query_id, shard = self._admit(UNREGISTER, query_id)
+        self._lifecycle(UNREGISTER, query_id, shard, self._journal is None)
         return shard
 
     @property
     def pending_lifecycle(self) -> int:
         """Pipelined lifecycle commands shipped but not yet acknowledged."""
-        return sum(len(entries) for entries in self._pending_cmds.values())
+        return len(self._table.outstanding(REGISTER, UNREGISTER))
 
     @_locked
     def collect_lifecycle(self) -> int:
         """Block until every pipelined lifecycle command is acknowledged.
 
         Returns the number of commands resolved (acknowledged, or absorbed
-        by a crash recovery whose replay re-applied them).  Mirrors
-        :meth:`collect_checkpoints`: timeouts retransmit (duplicates are
-        answered from the worker reply cache), a dead worker is recovered
-        and its pending entries resolve through the replay.
+        by a crash recovery whose replay re-applied them).  Timeouts
+        retransmit (duplicates are answered from the worker reply cache);
+        a dead worker is recovered and its commands resolve through the
+        replay.
         """
-        collected = 0
-        while True:
-            pending = [
-                (shard, entries)
-                for shard, entries in self._pending_cmds.items()
-                if entries
-            ]
-            if not pending:
-                return collected
-            shard, entries = pending[0]
-            entry = next(iter(entries.values()))
-            handle = self._workers[shard]
-            try:
-                reply = handle.replies.get(timeout=self.command_timeout)
-            except queue_module.Empty:
-                if handle.process.exitcode is not None:
-                    # Recovery replays every submitted command from the
-                    # write-ahead log (or re-creates it from the catalog),
-                    # and drops this shard's pending entries — resolved.
-                    collected += len(entries)
-                    self._recover(shard)
-                    continue
-                entry["retries"] += 1
-                if entry["retries"] > self.max_retries:
-                    self.rpc_unreachable += 1
-                    raise WorkerUnreachableError(
-                        f"shard {shard} did not acknowledge pipelined "
-                        f"{entry['kind']} {entry['label']!r} after "
-                        f"{entry['retries']} attempts",
-                        shard=shard,
-                        kind=entry["kind"],
-                        attempts=entry["retries"],
-                    ) from None
-                self.rpc_retransmissions += 1
-                handle.commands.put(entry["frame"])
-                continue
-            reply_seq, status, result = decode_reply(reply)
-            if self._resolve_lifecycle_reply(shard, reply_seq, status, result):
-                collected += 1
-            else:
-                self._stash_checkpoint_reply(shard, reply_seq, status, result)
-
-    def _resolve_lifecycle_reply(
-        self, shard: int, reply_seq: int, status: str, result
-    ) -> bool:
-        entries = self._pending_cmds.get(shard)
-        if not entries:
-            return False
-        entry = entries.pop(reply_seq, None)
-        if entry is None:
-            return False
-        if status != OK:
-            # Pipelined commands are fully pre-validated on the coordinator
-            # and their catalog/log effects were recorded at submit time — a
-            # worker-side rejection means the two sides disagree about the
-            # plan state, which is a protocol bug, not a rollbackable user
-            # error.
-            raise WorkerCommandError(
-                f"shard {shard} rejected pipelined {entry['kind']} "
-                f"{entry['label']!r}: {result}"
-            )
-        return True
-
-    def _poll_lifecycle(self) -> None:
-        """Non-blocking sweep for pipelined lifecycle acknowledgements."""
-        for shard, entries in list(self._pending_cmds.items()):
-            if not entries:
-                continue
-            handle = self._workers.get(shard)
-            if handle is None:
-                continue
-            while entries:
-                try:
-                    reply = handle.replies.get_nowait()
-                except queue_module.Empty:
-                    break
-                reply_seq, status, result = decode_reply(reply)
-                if not self._resolve_lifecycle_reply(
-                    shard, reply_seq, status, result
-                ):
-                    self._stash_checkpoint_reply(
-                        shard, reply_seq, status, result
-                    )
-
-    def _cancel_pending_lifecycle(self, shard: int) -> None:
-        """Forget a dead worker's pending submissions (recovery owns them).
-
-        Their effects were recorded (catalog + write-ahead log) at submit
-        time, so the durable replay re-applies them and the non-durable
-        blank re-registration re-creates them — the replies themselves will
-        never arrive.
-        """
-        self._pending_cmds.pop(shard, None)
+        return self._settle(REGISTER, UNREGISTER)
 
     @_locked
     def reoptimize(self, shard: Optional[int] = None) -> list[dict]:
@@ -2556,25 +2303,21 @@ class ProcessShardedRuntime:
             self._crash_point("rebalance-mid", "before")
             try:
                 self._rpc(to_shard, REBALANCE, ("in", blob))
-            except WorkerCrashError:
-                self._recover(to_shard)
+            except (WorkerCrashError, WorkerCommandError) as error:
+                crashed = isinstance(error, WorkerCrashError)
+                if crashed:
+                    self._recover(to_shard)
                 self._rpc(from_shard, REBALANCE, ("in", blob))
                 for alias, info in moved_relays.items():
                     self._install_relay_tap(
                         from_shard, alias, info["collected"]
                     )
                 self._route_cache.clear()
-                raise LifecycleError(
-                    f"shard {to_shard} crashed during rebalance import; "
-                    f"component restored on shard {from_shard}"
-                ) from None
-            except WorkerCommandError:
-                self._rpc(from_shard, REBALANCE, ("in", blob))
-                for alias, info in moved_relays.items():
-                    self._install_relay_tap(
-                        from_shard, alias, info["collected"]
-                    )
-                self._route_cache.clear()
+                if crashed:
+                    raise LifecycleError(
+                        f"shard {to_shard} crashed during rebalance import; "
+                        f"component restored on shard {from_shard}"
+                    ) from None
                 raise
             # Exports ride with their producers: re-tap on the recipient at
             # the collected watermark (the drain above made it exact).
@@ -2645,10 +2388,7 @@ class ProcessShardedRuntime:
                 # log → empty worker) — never a live worker the journal
                 # does not know about.
                 self._journal.append("add_worker", shard)
-            handle = self._spawn(shard)
-            self._workers[shard] = handle
-            for frame in self._schema_frames:
-                handle.commands.put(frame)
+            self._spawn(shard)
             self._route_cache.clear()
             self.events.emit(
                 "scale_up",
@@ -2715,7 +2455,7 @@ class ProcessShardedRuntime:
                 moved.extend(self._migrate_copy(query_id, target))
             # A snapshot in flight on the departing worker will never be
             # collected; its round proceeds without it.
-            self._cancel_pending_checkpoint(shard)
+            self._table.bury(shard)
             # The retiring worker's cumulative counters (it owned the
             # drained queries' whole output history) fold into the
             # coordinator's accumulator — and into the journal, so they
@@ -2759,7 +2499,7 @@ class ProcessShardedRuntime:
             except WorkerCrashError:
                 if attempt:
                     raise
-                self.heartbeat()  # recovers whichever side died
+                self._recover_dead()  # whichever side died
         raise AssertionError("unreachable")
 
     def _migrate_copy_once(self, query_id: str, to_shard: int) -> list[str]:
@@ -2849,20 +2589,16 @@ class ProcessShardedRuntime:
             },
         )
         stream, channel = made["stream"], made["channel"]
-        for shard in self._shards:
-            if shard == owner:
-                continue
-            self._rpc_recovering(
-                shard,
-                RELAY_TAP,
-                {
-                    "alias": alias,
-                    "query_id": None,
-                    "stream": stream,
-                    "channel": channel,
-                    "cursor": 0,
-                },
-            )
+        adopt = {
+            "alias": alias,
+            "query_id": None,
+            "stream": stream,
+            "channel": channel,
+            "cursor": 0,
+        }
+        self._rpc_fanout(
+            RELAY_TAP, {shard: adopt for shard in self._shards if shard != owner}
+        )
         if self.durable:
             self._wal[owner].append(("relay-tap", alias, 0))
         self._crash_point("relay", "before")
@@ -2972,8 +2708,8 @@ class ProcessShardedRuntime:
         shards = self._consumers_of(alias)
         start = 0
         while start < len(rows):
-            chunk = rows[start : start + self.max_batch]
-            start += self.max_batch
+            chunk = rows[start : start + _MAX_BATCH]
+            start += _MAX_BATCH
             self._crash_point("rbatch", "before")
             if self._journal is not None:
                 self._journal.append("rbatch", alias, chunk, list(shards))
@@ -3034,11 +2770,11 @@ class ProcessShardedRuntime:
                 self._journal.append("advance", stream_name, len(tuples))
             return batch_stats
         self._ensure_started()
-        self._poll_checkpoint()
+        self._table.poll()
         start = 0
         while start < len(tuples):
-            chunk = list(tuples[start : start + self.max_batch])
-            start += self.max_batch
+            chunk = list(tuples[start : start + _MAX_BATCH])
+            start += _MAX_BATCH
             final = start >= len(tuples)
             # Journal-before-ship: once a chunk is on any worker queue it
             # will be absorbed, so the journal must already own it.  A

@@ -1,10 +1,11 @@
 """CSV import/export for stream tuples.
 
 The paper's hybrid experiments replay real performance-counter traces; the
-proprietary files are unavailable (DESIGN.md §1), so this repository ships a
-simulator — but the loader here accepts *actual* traces too: any CSV whose
-header names the schema attributes plus a ``ts`` column can be replayed
-through the engine, making the D1/D2 substitution swappable for real data.
+proprietary files were never published, so this repository ships a
+simulator (:mod:`repro.workloads.perfmon`) — but the loader here accepts
+*actual* traces too: any CSV whose header names the schema attributes plus
+a ``ts`` column can be replayed through the engine, making the D1/D2
+substitution swappable for real data.
 
 Format: a header row of attribute names with ``ts`` in any position; values
 typed by the target schema (``int`` / ``float`` / ``str``).  Example::

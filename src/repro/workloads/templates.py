@@ -17,7 +17,7 @@ Workload templates (§5.2):
   AI index requires the rebind edge to correlate as well, our µ rebind also
   carries ``S.a0 = T.a0`` — i.e. the pattern is a per-``a0`` increasing
   sequence, the same correlation idiom as the paper's Query 1 (per-process
-  ramps); DESIGN.md records this choice.
+  ramps), and a deliberate deviation from the paper's µ predicates.
 - **Workload 3** — ``Si ;θ1∧θ2 T`` over ``capacity`` sharable streams
   ``S1..Sk``, the channel experiment.
 

@@ -282,8 +282,8 @@ class TestDataPlaneValidation:
     @needs_fork
     def test_legacy_journal_with_pickle_plane_resumes(self, tmp_path):
         """A journal written while the data plane was still an option
-        carries ``data_plane="pickle"`` (and ``full_checkpoint_every``) in
-        its options record.  A cold start from it drops the retired keys
+        carries ``data_plane="pickle"`` (and ``full_checkpoint_every``,
+        ``max_batch``) in its options record.  A cold start from it drops the retired keys
         and finishes byte-identical to an uninterrupted serve."""
         journal = str(tmp_path / "journal")
         reference = reference_serve(0, 140)
@@ -297,7 +297,8 @@ class TestDataPlaneValidation:
             )
         )
         runtime._journal.append(
-            "options", {"data_plane": "pickle", "full_checkpoint_every": 8}
+            "options",
+            {"data_plane": "pickle", "full_checkpoint_every": 8, "max_batch": 1024},
         )
         try:
             for index, text in enumerate(QUERIES):
@@ -313,6 +314,7 @@ class TestDataPlaneValidation:
         )
         try:
             assert resumed._journal.state.options["data_plane"] == "pickle"
+            assert resumed._journal.state.options["max_batch"] == 1024
             feed(resumed, 70, 140)
             assert_identical(resumed, reference)
         finally:

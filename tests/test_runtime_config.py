@@ -86,10 +86,6 @@ class TestValidation:
                 sources=SOURCES, process=True, checkpoint_every=-1
             ).validate()
 
-    def test_max_batch_floor(self):
-        with pytest.raises(LifecycleError, match="max_batch"):
-            RuntimeConfig(sources=SOURCES, max_batch=0).validate()
-
 
 class TestDirectConstruction:
     def test_direct_constructor_works(self):

@@ -104,6 +104,39 @@ class TestLifecycle:
         assert runtime.crash_recoveries == 0
 
 
+class TestPipelinedAdmission:
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_uncompilable_submit_is_refused_before_recording(self, durable):
+        """A pipelined registration its worker would reject (an attribute
+        the schema lacks) is refused at submit: catalog, routing and
+        write-ahead log stay as they were, and a later worker kill recovers
+        without re-sending the bad query."""
+        with ProcessShardedRuntime(
+            {"S": SCHEMA, "T": SCHEMA}, n_shards=2, capture_outputs=True,
+            durable=durable,
+        ) as runtime:
+            runtime.register(SEL, query_id="a", shard=0)
+            wal = runtime.wal_span(0) if durable else None
+            with pytest.raises(LifecycleError, match="nosuch"):
+                runtime.submit_register("FROM S WHERE nosuch == 1", "bad", shard=0)
+            assert runtime.collect_lifecycle() == 0
+            assert runtime.active_queries == ["a"]
+            assert runtime.shard_loads() == [1, 0]
+            assert runtime._consumers_of("S") == (0,)
+            if durable:
+                assert runtime.wal_span(0) == wal
+            feed(runtime, 0, 10)
+            runtime._workers[0].process.kill()
+            runtime._workers[0].process.join(timeout=10.0)
+            runtime.heartbeat()
+            assert runtime.crash_recoveries == 1
+            feed(runtime, 10, 20)
+            outputs = runtime.collect_stats().outputs_by_query
+            assert set(outputs) == {"a"}
+            if durable:
+                assert outputs == {"a": 3}
+
+
 class TestAccountingAndIntrospection:
     def test_input_events_counted_once_across_replicated_streams(self, runtime):
         runtime.register("FROM S WHERE a0 == 0", query_id="a", shard=0)
